@@ -23,9 +23,9 @@ from .oracle import (
     global_invariants,
     stats,
 )
-from .scenario import Scenario, load_scenario, parse_scenario
+from .scenario import Scenario, load_scenario, parse_checks, parse_scenario
 from .simnet import run as sim_run
-from .trace import Trace, read_trace_file
+from .trace import Trace, parse_event_line, read_trace_file
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -89,7 +89,7 @@ def _run_one(args) -> int:
         if steps_override is not None:
             scenario.steps = steps_override
         if checks_override is not None:
-            scenario = _apply_checks(scenario, checks_override)
+            scenario.checks = parse_checks(checks_override, "--checks")
         _world, trace, summary, failures = execute_scenario(scenario)
     except (ScenarioError, StableVCError, OSError) as exc:
         print(f"{path}: error: {exc}", file=sys.stderr)
@@ -113,21 +113,6 @@ def _run_one(args) -> int:
     return EXIT_OK
 
 
-def _apply_checks(scenario: Scenario, checks: str) -> Scenario:
-    from .scenario import DEFAULT_CHECKS
-    if checks == "all":
-        scenario.checks = DEFAULT_CHECKS
-    elif checks == "none":
-        scenario.checks = ()
-    else:
-        parts = tuple(p.strip() for p in checks.split(",") if p.strip())
-        unknown = set(parts) - set(DEFAULT_CHECKS)
-        if unknown:
-            raise ScenarioError(f"unknown checks {sorted(unknown)}")
-        scenario.checks = parts
-    return scenario
-
-
 def cmd_run(paths: List[str], seed: Optional[int], steps: Optional[int],
             out_dir: str, jobs: int, checks: Optional[str] = None) -> int:
     tasks = [(path, seed, steps, out_dir, checks) for path in paths]
@@ -141,7 +126,7 @@ def cmd_run(paths: List[str], seed: Optional[int], steps: Optional[int],
 
 def cmd_replay(trace_path: str) -> int:
     try:
-        scenario_text, _events = read_trace_file(trace_path)
+        scenario_text, _events, _steps = read_trace_file(trace_path)
         if not scenario_text:
             raise ScenarioError(f"{trace_path}: no embedded scenario header")
         scenario = parse_scenario(scenario_text, origin=trace_path)
@@ -167,17 +152,10 @@ def cmd_replay(trace_path: str) -> int:
 
 def cmd_stats(trace_path: str) -> int:
     try:
-        _scenario_text, event_lines = read_trace_file(trace_path)
-        from .trace import parse_event_line
+        _scenario_text, event_lines, header_steps = read_trace_file(trace_path)
         trace = Trace()
         for line in event_lines:
             trace.append(parse_event_line(line))
-        header_steps = None
-        with open(trace_path, encoding="utf-8") as fh:
-            for line in fh:
-                if line.startswith("#steps "):
-                    header_steps = int(line.split()[1])
-                    break
         trace.steps = header_steps if header_steps is not None else (
             max((e.step for e in trace.events), default=0) + 1)
     except (ScenarioError, ValueError) as exc:

@@ -427,14 +427,3 @@ class LabelingState:
         out = self.created_log
         self.created_log = []
         return out
-
-    def copy(self) -> "LabelingState":
-        dup = LabelingState(self.self_id, self.cfg)
-        dup.max = list(self.max)
-        dup.stored = [list(q) for q in self.stored]
-        dup._ready = self._ready
-        dup._dirty = self._dirty
-        dup._mint_cache = [None] * (self.cfg.n + 1)  # rebuilt lazily
-        dup.created_count = self.created_count
-        dup.created_log = list(self.created_log)
-        return dup

@@ -148,16 +148,6 @@ def parse_scenario(text: str, origin: str = "<scenario>") -> Scenario:
         for key, value in plain.items():
             if key.startswith("increment_rate."):
                 rate_overrides[int(key.split(".", 1)[1])] = float(value)
-        checks_raw = plain.get("checks", "all")
-        if checks_raw == "all":
-            checks: Tuple[str, ...] = DEFAULT_CHECKS
-        elif checks_raw == "none":
-            checks = ()
-        else:
-            checks = tuple(part.strip() for part in checks_raw.split(",") if part.strip())
-            unknown = set(checks) - set(DEFAULT_CHECKS)
-            if unknown:
-                raise ScenarioError(f"{origin}: unknown checks {sorted(unknown)}")
         return Scenario(
             n=int(need("n")),
             c=int(need("c")),
@@ -168,7 +158,7 @@ def parse_scenario(text: str, origin: str = "<scenario>") -> Scenario:
             increment_rate=float(plain.get("increment_rate", "0.0")),
             rate_overrides=rate_overrides,
             k_override=int(plain["k"]) if "k" in plain else None,
-            checks=checks,
+            checks=parse_checks(plain.get("checks", "all"), origin),
             transient_seed=(int(faults["transient_seed"])
                             if "transient_seed" in faults else None),
             transient_scope=faults.get("transient_scope", "all"),
@@ -181,6 +171,19 @@ def parse_scenario(text: str, origin: str = "<scenario>") -> Scenario:
         raise
     except (ValueError, KeyError) as exc:
         raise ScenarioError(f"{origin}: {exc}") from exc
+
+
+def parse_checks(raw: str, origin: str) -> Tuple[str, ...]:
+    """The checks a ``checks`` value names: ``all``, ``none`` or a comma list."""
+    if raw == "all":
+        return DEFAULT_CHECKS
+    if raw == "none":
+        return ()
+    checks = tuple(part.strip() for part in raw.split(",") if part.strip())
+    unknown = set(checks) - set(DEFAULT_CHECKS)
+    if unknown:
+        raise ScenarioError(f"{origin}: unknown checks {sorted(unknown)}")
+    return checks
 
 
 def load_scenario(path: str) -> Scenario:

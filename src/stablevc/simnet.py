@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 from .errors import ActionNotEnabled, AlreadyCrashed, NotCrashed, PreconditionViolated
 from .labeling import ServerMessage, SystemConfig
@@ -193,70 +193,6 @@ class World:
 def _seed_component(cfg) -> LabelComponent:
     """The component next_b yields on empty input: (1, {2..k+1})."""
     return LabelComponent(1, frozenset(range(2, cfg.k + 2)))
-
-
-# -- single step -----------------------------------------------------------------
-
-
-def sim_step(world: World, proc: int, action: Action) -> List[TraceEvent]:
-    """Apply one atomic step and return its trace events (comm event last)."""
-    state = world.procs[proc]
-    step = world.clock
-    events: List[TraceEvent] = []
-
-    if action.kind == BEGIN_BROADCAST:
-        dest, message, notes = state.do_forever_begin(action.increment)
-        _notes_events(events, step, proc, notes)
-        overwrote = world.channels[(proc, dest)].send(message)
-        events.append(TraceEvent(step, proc, "send",
-                                 _send_detail(dest, message, overwrote, True)))
-    elif action.kind == CONTINUE_BROADCAST:
-        dest, message, notes = state.do_forever_continue()
-        _notes_events(events, step, proc, notes)
-        overwrote = world.channels[(proc, dest)].send(message)
-        events.append(TraceEvent(step, proc, "send",
-                                 _send_detail(dest, message, overwrote, False)))
-    elif action.kind == RECEIVE:
-        sender = action.sender
-        entry = world.channels[(sender, proc)].receive()
-        notes = state.on_message(entry.message, sender)
-        _notes_events(events, step, proc, notes, injected=entry.injected)
-        if notes.ignored is not None:
-            events.append(TraceEvent(step, proc, "ignored",
-                                     {"from": sender, "guard": notes.ignored,
-                                      "injected": entry.injected}))
-        else:
-            events.append(TraceEvent(step, proc, "receive",
-                                     {"from": sender, "merged": notes.merged,
-                                      "injected": entry.injected}))
-    else:
-        raise ActionNotEnabled(f"unknown action {action.kind!r}")
-    return events
-
-
-def _send_detail(dest: int, message: ServerMessage, overwrote: bool,
-                 first: bool) -> dict:
-    payload: ClientMessage = message.client
-    return {
-        "to": dest,
-        "max": message.sender_max,
-        "pair": payload.arriving,
-        "overwrote": overwrote,
-        "first": first,
-    }
-
-
-def _notes_events(events: List[TraceEvent], step: int, proc: int,
-                  notes: StepNotes, injected: bool = False) -> None:
-    for _ in range(notes.increments):
-        events.append(TraceEvent(step, proc, "increment", None))
-    for label in notes.new_labels:
-        events.append(TraceEvent(step, proc, "new_label", {"label": label}))
-    for _ in range(notes.revives):
-        events.append(TraceEvent(step, proc, "revive", None))
-    for _ in range(notes.restarts):
-        events.append(TraceEvent(step, proc, "restart_local",
-                                 {"cause": notes.restart_cause, "injected": injected}))
 
 
 # -- schedulers ---------------------------------------------------------------------
@@ -503,9 +439,14 @@ def run(world: World, scheduler: Scheduler, steps: int,
         trace_level: str = "full") -> Trace:
     """Advance the world ``steps`` atomic steps and record a trace.
 
-    ``trace_level`` "full" records every event; "faults" keeps only the
-    protocol-fault events (restart/revive/new_label/crash/restart) so very
-    long runs stay cheap.  Observers see every event either way.
+    Each step applies the step's due faults, asks the scheduler for a pick,
+    and runs the picked action: a receive, or the begin or continue of a
+    broadcast ending in a send.  The step's events (handler notes first,
+    the send or receive last) go through ``Trace.append``, which counts
+    every kind; ``trace_level`` "full" keeps every event, "faults" only the
+    fault kinds, so very long runs stay cheap.  Observers see every event
+    either way.  ``world.clock`` is the current step during a step and
+    ``steps`` past its start afterwards.
     """
     trace = Trace(config=world.config, level=trace_level)
     plan = fault_plan or FaultPlan()
@@ -548,36 +489,10 @@ def run(world: World, scheduler: Scheduler, steps: int,
         on_start = getattr(observer, "on_start", None)
         if on_start is not None:
             on_start(world)
-    if trace.level != "full" and not observers:
-        _run_lean(world, scheduler, steps, fault_steps, faults, trace)
-    else:
-        for _ in range(steps):
-            now = world.clock
-            if now in fault_steps:
-                faults(now)
-            pick = scheduler.next(world)
-            if pick is not None:
-                proc, action = pick
-                events = sim_step(world, proc, action)
-                for event in events:
-                    trace.append(event)
-                for observer in observers:
-                    observer.on_step(world, events)
-            world.clock += 1
-    trace.steps = world.clock
-    for observer in observers:
-        observer.on_finish(world, trace)
-    return trace
-
-
-def _run_lean(world: World, scheduler: Scheduler, steps: int, fault_steps: set,
-              faults: Callable[[int], None], trace: Trace) -> None:
-    """The step loop for fault-level traces without observers.
-
-    State evolution is identical to sim_step; only the recording differs:
-    events are counted, and only fault-kind events materialize.
-    """
-    procs, channels, counts = world.procs, world.channels, trace.counts
+    # Below "full" and unobserved, a step with shared quiet notes records
+    # only its send or receive, which the trace would count and drop.
+    quiet = QUIET_NOTES if trace.level != "full" and not observers else ()
+    procs, channels, counts, record = world.procs, world.channels, trace.counts, trace.append
     pick_next = scheduler.next
     start = world.clock
     for now in range(start, start + steps):
@@ -594,28 +509,54 @@ def _run_lean(world: World, scheduler: Scheduler, steps: int, fault_steps: set,
             sender = action.sender
             entry = channels[(sender, proc)].receive()
             notes = state.on_message(entry.message, sender)
-            tally = "receive" if notes.ignored is None else "ignored"
-            counts[tally] = counts.get(tally, 0) + 1
+            comm = "receive" if notes.ignored is None else "ignored"
         else:
             if kind == BEGIN_BROADCAST:
                 dest, message, notes = state.do_forever_begin(action.increment)
-            else:
+            elif kind == CONTINUE_BROADCAST:
                 dest, message, notes = state.do_forever_continue()
-            channels[(proc, dest)].send(message)
-            counts["send"] = counts.get("send", 0) + 1
-
-        if notes in QUIET_NOTES:
+            else:
+                raise ActionNotEnabled(f"unknown action {kind!r}")
+            overwrote = channels[(proc, dest)].send(message)
+            comm = "send"
+        if notes in quiet:
+            counts[comm] = counts.get(comm, 0) + 1
             continue
-        if notes.increments:
-            counts["increment"] = counts.get("increment", 0) + notes.increments
-        if not (notes.new_labels or notes.revives or notes.restarts):
-            continue
-        for label in notes.new_labels:
-            trace.append(TraceEvent(now, proc, "new_label", {"label": label}))
-        for _ in range(notes.revives):
-            trace.append(TraceEvent(now, proc, "revive", None))
-        for _ in range(notes.restarts):
-            injected = kind == RECEIVE and entry.injected
-            trace.append(TraceEvent(now, proc, "restart_local",
-                                    {"cause": notes.restart_cause, "injected": injected}))
+        if comm == "send":
+            injected = False
+            detail = {"to": dest, "max": message.sender_max, "pair": message.client.arriving,
+                      "overwrote": overwrote, "first": kind == BEGIN_BROADCAST}
+        else:
+            injected = entry.injected
+            detail = ({"from": sender, "merged": notes.merged, "injected": injected}
+                      if comm == "receive" else
+                      {"from": sender, "guard": notes.ignored, "injected": injected})
+        events = _step_events(now, proc, notes, TraceEvent(now, proc, comm, detail), injected)
+        for event in events:
+            record(event)
+        for observer in observers:
+            observer.on_step(world, events)
     world.clock = start + steps
+    trace.steps = world.clock
+    for observer in observers:
+        observer.on_finish(world, trace)
+    return trace
+
+
+def _step_events(step: int, proc: int, notes: StepNotes, comm: TraceEvent,
+                 injected: bool) -> List[TraceEvent]:
+    """A step's events in occurrence order: what its handler noted, then the
+    send or receive ``comm`` that ends it.  ``injected`` marks a receive of
+    a message fault injection put in the channel."""
+    events: List[TraceEvent] = []
+    for _ in range(notes.increments):
+        events.append(TraceEvent(step, proc, "increment", None))
+    for label in notes.new_labels:
+        events.append(TraceEvent(step, proc, "new_label", {"label": label}))
+    for _ in range(notes.revives):
+        events.append(TraceEvent(step, proc, "revive", None))
+    for _ in range(notes.restarts):
+        events.append(TraceEvent(step, proc, "restart_local",
+                                 {"cause": notes.restart_cause, "injected": injected}))
+    events.append(comm)
+    return events

@@ -104,25 +104,36 @@ class Trace:
                 fh.write(event.render() + "\n")
 
 
-def read_trace_file(path: str) -> Tuple[str, List[str]]:
-    """Split a trace file into (embedded scenario text, event lines).
+def read_trace_file(path: str) -> Tuple[str, List[str], Optional[int]]:
+    """Split a trace file into (embedded scenario text, event lines, the
+    ``#steps`` header value or None when there is none).
 
-    Raises ScenarioError on a missing or mismatched version header.
+    Raises ScenarioError on an unreadable file, a missing or mismatched
+    version header, or a malformed ``#steps`` header.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise ScenarioError(f"cannot read {path}: {exc}") from exc
     if not lines or lines[0] != f"#{TRACE_VERSION}":
         raise ScenarioError(f"{path}: missing or unsupported trace header")
     scenario_lines: List[str] = []
     events: List[str] = []
+    steps: Optional[int] = None
     for line in lines[1:]:
         if line.startswith("#scenario:"):
             scenario_lines.append(line[len("#scenario:"):])
+        elif line.startswith("#steps ") and steps is None:
+            try:
+                steps = int(line[len("#steps "):])
+            except ValueError:
+                raise ScenarioError(f"{path}: malformed header {line!r}") from None
         elif line.startswith("#"):
             continue
         else:
             events.append(line)
-    return "\n".join(scenario_lines), events
+    return "\n".join(scenario_lines), events, steps
 
 
 def parse_event_line(line: str) -> TraceEvent:

@@ -85,12 +85,6 @@ class VectorClockPair:
         self.curr_m[index] = (self.curr_m[index] + 1) % maxint
         self._vcsum += ((old + 1) % maxint) - old
 
-    def set_curr_m(self, index: int, value: int) -> None:
-        maxint = self.maxint
-        old = (self.curr_m[index] - self.mid[index]) % maxint
-        self.curr_m[index] = value % maxint
-        self._vcsum += ((value - self.mid[index]) % maxint) - old
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VectorClockPair):
             return NotImplemented

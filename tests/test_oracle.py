@@ -11,7 +11,14 @@ from stablevc.oracle import (
     global_invariants,
     stats,
 )
-from stablevc.simnet import Action, BEGIN_BROADCAST, RoundRobinScheduler, World, run
+from stablevc.simnet import (
+    Action,
+    BEGIN_BROADCAST,
+    RoundRobinScheduler,
+    ScriptedScheduler,
+    World,
+    run,
+)
 from stablevc.trace import Trace, TraceEvent
 from stablevc.vcpair import vc
 
@@ -132,8 +139,7 @@ class TestGlobalInvariants:
 
     def test_guard_passing_unmergeable_message_false(self):
         world = World.clean_start(CFG)
-        from stablevc.simnet import sim_step
-        sim_step(world, 1, Action(BEGIN_BROADCAST))
+        run(world, ScriptedScheduler([(1, Action(BEGIN_BROADCAST))]), 1)
         entry = world.channels[(1, 2)].queue[0]
         arriving = entry.message.client.arriving
         # Same guard surface, but no common item with the receiver's pair.
@@ -153,8 +159,7 @@ class TestGlobalInvariants:
 
     def test_guard_failing_message_is_exempt(self):
         world = World.clean_start(CFG)
-        from stablevc.simnet import sim_step
-        sim_step(world, 1, Action(BEGIN_BROADCAST))
+        run(world, ScriptedScheduler([(1, Action(BEGIN_BROADCAST))]), 1)
         entry = world.channels[(1, 2)].queue[0]
         arriving = entry.message.client.arriving.copy()
         arriving.mid[0] = (arriving.mid[0] + 3) % CFG.maxint

@@ -122,10 +122,13 @@ class TestCli:
         trace_path.write_text("\n".join(lines) + "\n")
         assert main(["replay", str(trace_path)]) == EXIT_CHECK_FAILED
 
-    def test_replay_version_mismatch_exit_two(self, tmp_path):
+    def test_replay_version_mismatch_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.trace"
         bad.write_text("#stablevc-trace v9\n0\t1\tsend\t-\n")
         assert main(["replay", str(bad)]) == EXIT_CONFIG_ERROR
+        capsys.readouterr()
+        assert main(["replay", str(tmp_path / "missing.trace")]) == EXIT_CONFIG_ERROR
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
     def test_stats_command(self, tmp_path, capsys):
         path = self._write(tmp_path, GOOD)
@@ -135,10 +138,13 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.startswith("stats steps=300 ")
 
-    def test_stats_parse_failure_exit_two(self, tmp_path):
+    def test_stats_parse_failure_exit_two(self, tmp_path, capsys):
         junk = tmp_path / "junk.trace"
         junk.write_text("not a trace\n")
         assert main(["stats", str(junk)]) == EXIT_CONFIG_ERROR
+        capsys.readouterr()
+        assert main(["stats", str(tmp_path / "missing.trace")]) == EXIT_CONFIG_ERROR
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
     def test_checks_override(self, tmp_path):
         path = self._write(tmp_path, GOOD)

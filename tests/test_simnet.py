@@ -4,6 +4,7 @@ import pytest
 
 from stablevc.errors import ActionNotEnabled, AlreadyCrashed, NotCrashed, PreconditionViolated
 from stablevc.labeling import SystemConfig
+from stablevc.oracle import InvariantMonitor
 from stablevc.simnet import (
     BEGIN_BROADCAST,
     CONTINUE_BROADCAST,
@@ -13,11 +14,12 @@ from stablevc.simnet import (
     FaultPlan,
     RandomScheduler,
     RoundRobinScheduler,
+    ScriptedScheduler,
     World,
     inject_transient,
     run,
-    sim_step,
 )
+from stablevc.trace import FAULT_KINDS
 
 CFG = SystemConfig(n=3, c=1, maxint=16)
 
@@ -68,7 +70,7 @@ class TestEnabledActions:
 
     def test_pending_and_incoming(self):
         world = World.clean_start(CFG)
-        sim_step(world, 1, Action(BEGIN_BROADCAST))  # sends to 2
+        run(world, ScriptedScheduler([(1, Action(BEGIN_BROADCAST))]), 1)  # sends to 2
         kinds = {a.kind for a in world.enabled_actions(2)}
         assert kinds == {BEGIN_BROADCAST, RECEIVE}
         kinds1 = {a.kind for a in world.enabled_actions(1)}
@@ -91,7 +93,7 @@ class TestCrashRestart:
 
     def test_inflight_messages_lost_while_down(self):
         world = World.clean_start(CFG)
-        sim_step(world, 1, Action(BEGIN_BROADCAST))  # 1 -> 2 in flight
+        run(world, ScriptedScheduler([(1, Action(BEGIN_BROADCAST))]), 1)  # 1 -> 2 in flight
         assert len(world.channels[(1, 2)]) == 1
         world.crash(2)
         world.restart_undetectable(2)
@@ -192,15 +194,25 @@ class TestDeterminism:
         assert [e.render() for e in t1.events] == [e.render() for e in t2.events]
 
     def test_lean_trace_same_worlds(self):
-        world_a = World.clean_start(CFG)
-        sched_a = RandomScheduler(6)
-        sched_a.configure_workload(6, {0: 0.3})
-        run(world_a, sched_a, 1500)
-        world_b = World.clean_start(CFG)
-        sched_b = RandomScheduler(6)
-        sched_b.configure_workload(6, {0: 0.3})
-        run(world_b, sched_b, 1500, trace_level="faults")
-        assert world_hash(world_a) == world_hash(world_b)
+        def outcome(config, plan, level, observers=()):
+            world = World.clean_start(config)
+            sched = RandomScheduler(6)
+            sched.configure_workload(6, {0: 0.3})
+            trace = run(world, sched, 1500, fault_plan=plan, observers=observers,
+                        trace_level=level)
+            lines = [e.render() for e in trace.events if e.kind in FAULT_KINDS]
+            return world_hash(world), trace.counts, lines
+
+        faulty = FaultPlan(transient_seed=9, crash_at={2: 300}, restart_at={2: 700},
+                           duplications=[(1, 3, 112)], reorders=[(3, 1, 10)])
+        for config, plan in ((CFG, None), (SystemConfig(n=3, c=2, maxint=16), faulty)):
+            full = outcome(config, plan, "full")
+            assert outcome(config, plan, "faults") == full
+            monitor = InvariantMonitor()
+            assert outcome(config, plan, "faults", [monitor]) == full
+            assert monitor.checked > 0
+        for kind in ("transient", "crash", "restart", "duplicate", "reorder"):
+            assert full[1][kind] == 1
 
 
 class TestFairness:
@@ -246,7 +258,6 @@ class TestFairness:
 
 class TestScriptedScheduler:
     def test_replays_exact_script(self):
-        from stablevc.simnet import ScriptedScheduler
         world = World.clean_start(CFG)
         script = [(1, Action(BEGIN_BROADCAST)), (1, Action(CONTINUE_BROADCAST)),
                   (2, Action(RECEIVE, sender=1))]
@@ -261,7 +272,7 @@ class TestScriptedScheduler:
     def test_not_enabled_action_raises(self):
         world = World.clean_start(CFG)
         with pytest.raises(ActionNotEnabled):
-            sim_step(world, 2, Action(RECEIVE, sender=1))
+            run(world, ScriptedScheduler([(2, Action(RECEIVE, sender=1))]), 1)
 
 
 class TestCounterConsistency:
