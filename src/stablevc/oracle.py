@@ -48,7 +48,9 @@ class ShadowTracker:
     Maintains per-processor unbounded joined vectors (advanced exactly when
     the protocol increments or merges), mirrors channel contents with shadow
     snapshots, and records change-logs of (step, local pair, shadow vector)
-    so any past state can be queried by bisection.
+    so any past state can be queried by bisection.  A per-processor prefix
+    count of era changes (consecutive snapshots with unequal static parts),
+    extended on query, makes era changes between two states two bisects.
     """
 
     def __init__(self, config: SystemConfig):
@@ -62,6 +64,8 @@ class ShadowTracker:
         self.snap_pairs: List[List[VectorClockPair]] = [[] for _ in range(n + 1)]
         self.snap_shadows: List[List[List[int]]] = [[] for _ in range(n + 1)]
         self.increment_steps: List[List[int]] = [[] for _ in range(n + 1)]
+        # era_prefix[proc][idx]: era changes among snapshots 0..idx.
+        self._era_prefix: List[List[int]] = [[0] for _ in range(n + 1)]
         self.merge_violations: List[Violation] = []
         self._last_local: List[Optional[VectorClockPair]] = [None] * (n + 1)
         # Per-broadcast frozen shadow, mirroring the frozen pair snapshot.
@@ -157,18 +161,14 @@ class ShadowTracker:
 
     def static_changes_between(self, proc: int, lo: int, hi: int) -> int:
         """Era changes (revive or adoption or restart) of ``proc`` in (lo, hi]."""
-        count = 0
         steps = self.snap_steps[proc]
         pairs = self.snap_pairs[proc]
-        start = bisect.bisect_right(steps, lo) - 1
-        if start < 0:
-            start = 0
-        prev = pairs[start]
-        for idx in range(start + 1, bisect.bisect_right(steps, hi)):
-            if not equal_static(prev, pairs[idx]):
-                count += 1
-            prev = pairs[idx]
-        return count
+        prefix = self._era_prefix[proc]
+        for idx in range(len(prefix), len(pairs)):
+            prefix.append(prefix[-1] + (not equal_static(pairs[idx - 1], pairs[idx])))
+        start = max(bisect.bisect_right(steps, lo) - 1, 0)
+        end = bisect.bisect_right(steps, hi) - 1
+        return prefix[end] - prefix[start] if end > start else 0
 
 
 class InvariantMonitor:
@@ -264,15 +264,18 @@ def check_causal(tracker: ShadowTracker, segments: List[Tuple[int, int]],
 
     Sample pairs are drawn inside legal segments, within windows spanning at
     most one wrap-around event in total, so a common reference item exists by
-    construction.
+    construction.  ``revive_steps`` must be sorted.
     """
     rng = random.Random(seed)
     procs = list(tracker.config.proc_ids)
+    snap_steps, snap_pairs = tracker.snap_steps, tracker.snap_pairs
+    snap_shadows = tracker.snap_shadows
     violations: List[Violation] = []
     for start, end in segments:
         if end <= start:
             continue
-        cuts = [s for s in revive_steps if start <= s <= end]
+        cuts = revive_steps[bisect.bisect_left(revive_steps, start):
+                            bisect.bisect_right(revive_steps, end)]
         windows = _split_windows(start, end, cuts)
         for _ in range(samples_per_segment):
             lo, hi = windows[rng.randrange(len(windows))]
@@ -282,20 +285,20 @@ def check_causal(tracker: ShadowTracker, segments: List[Tuple[int, int]],
             pj = procs[rng.randrange(len(procs))]
             sx = lo + rng.randrange(hi - lo)
             sy = lo + rng.randrange(hi - lo)
-            zi = tracker.pair_at(pi, sx)
-            zj = tracker.pair_at(pj, sy)
-            si = tracker.shadow_at(pi, sx)
-            sj = tracker.shadow_at(pj, sy)
-            if None in (zi, zj, si, sj):
+            xi = bisect.bisect_right(snap_steps[pi], sx) - 1
+            yi = bisect.bisect_right(snap_steps[pj], sy) - 1
+            if xi < 0 or yi < 0:
                 continue
-            if exists_overlap(zi, zj) is None:
+            zi, zj = snap_pairs[pi][xi], snap_pairs[pj][yi]
+            pivot = exists_overlap(zi, zj)
+            if pivot is None:
                 # The precedence formula is defined through the common item;
                 # without one it reports "not preceding" by construction
                 # (e.g. a superseded wrap variant against the next era), so
                 # there is no verdict to audit.
                 continue
-            expected = _shadow_hb(si, sj)
-            got = causal_precedence(zi, zj)
+            expected = _shadow_hb(snap_shadows[pi][xi], snap_shadows[pj][yi])
+            got = causal_precedence(zi, zj, pivot)
             if got != expected:
                 violations.append(Violation(
                     "causal", sy, pj,

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .errors import ScenarioError
+from .errors import PreconditionViolated, ScenarioError
 from .labeling import SystemConfig
 from .simnet import FaultPlan, RandomScheduler, RoundRobinScheduler, Scheduler, World
 
@@ -41,14 +41,21 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.steps < 1:
             raise ScenarioError("steps must be >= 1")
-        for proc in list(self.crash_at) + list(self.restart_at):
+        for proc in [*self.crash_at, *self.restart_at, *self.rate_overrides]:
             if not 1 <= proc <= self.n:
                 raise ScenarioError(f"processor id {proc} outside [1, {self.n}]")
+        for rate in [self.increment_rate, *self.rate_overrides.values()]:
+            if not 0.0 <= rate <= 1.0:
+                raise ScenarioError(f"increment rate {rate!r} outside [0, 1]")
         for src, dst, _ in self.duplications + self.reorders:
             if not (1 <= src <= self.n and 1 <= dst <= self.n and src != dst):
                 raise ScenarioError(f"bad channel {src}>{dst}")
         if self.scheduler not in ("round_robin", "random"):
             raise ScenarioError(f"unknown scheduler {self.scheduler!r}")
+        try:
+            self.fault_plan()
+        except PreconditionViolated as exc:
+            raise ScenarioError(str(exc)) from exc
 
     # -- construction of runnable objects ----------------------------------------
 
@@ -190,7 +197,7 @@ def load_scenario(path: str) -> Scenario:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read {path}: {exc}") from exc
     return parse_scenario(text, origin=path)
 

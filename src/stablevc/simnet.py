@@ -106,7 +106,7 @@ class FaultPlan:
 
     def __post_init__(self) -> None:
         for proc, step in self.restart_at.items():
-            if proc in self.crash_at and step <= self.crash_at[proc]:
+            if proc not in self.crash_at or step <= self.crash_at[proc]:
                 raise PreconditionViolated(f"restart of {proc} must follow its crash")
         if self.transient_scope not in ("all", "channels"):
             raise PreconditionViolated(f"unknown transient scope {self.transient_scope!r}")

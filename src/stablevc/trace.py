@@ -108,13 +108,13 @@ def read_trace_file(path: str) -> Tuple[str, List[str], Optional[int]]:
     """Split a trace file into (embedded scenario text, event lines, the
     ``#steps`` header value or None when there is none).
 
-    Raises ScenarioError on an unreadable file, a missing or mismatched
-    version header, or a malformed ``#steps`` header.
+    Raises ScenarioError on an unreadable or non-UTF-8 file, a missing or
+    mismatched version header, or a malformed ``#steps`` header.
     """
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read {path}: {exc}") from exc
     if not lines or lines[0] != f"#{TRACE_VERSION}":
         raise ScenarioError(f"{path}: missing or unsupported trace header")

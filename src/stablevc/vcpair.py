@@ -354,9 +354,12 @@ def event_count_query(zx: VectorClockPair, zy: VectorClockPair,
     return None
 
 
-def causal_precedence(z: VectorClockPair, zp: VectorClockPair) -> bool:
-    """True when z's counted events are dominated by zp's with one strict gap."""
-    pivot = exists_overlap(z, zp)
+def causal_precedence(z: VectorClockPair, zp: VectorClockPair,
+                      pivot: Optional[Pivot] = None) -> bool:
+    """True when z's counted events are dominated by zp's with one strict gap
+    (``pivot``: ``exists_overlap`` of the pairs, if the caller has it)."""
+    if pivot is None:
+        pivot = exists_overlap(z, zp)
     if pivot is None:
         return False
     left = new_events(z, pivot)

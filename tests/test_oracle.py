@@ -1,10 +1,22 @@
 """Oracle tests: shadow equivalence, legal segments, stats, global invariants."""
 
+import bisect
+import random
+
+import pytest
+
+import stablevc.oracle
 from stablevc.labeling import SystemConfig
 from stablevc.oracle import (
+    FULL_DENSITY_LIMIT,
     ExecutionStats,
     InvariantMonitor,
     ShadowTracker,
+    Violation,
+    _count_in,
+    _sample_pairs,
+    _shadow_hb,
+    _split_windows,
     check_causal,
     check_requirement1,
     find_legal_segments,
@@ -14,24 +26,31 @@ from stablevc.oracle import (
 from stablevc.simnet import (
     Action,
     BEGIN_BROADCAST,
+    FaultPlan,
     RoundRobinScheduler,
     ScriptedScheduler,
     World,
     run,
 )
 from stablevc.trace import Trace, TraceEvent
-from stablevc.vcpair import vc
+from stablevc.vcpair import (
+    causal_precedence,
+    equal_static,
+    event_count_query,
+    exists_overlap,
+    vc,
+)
 
 CFG = SystemConfig(n=3, c=1, maxint=16)
 
 
-def clean_run(steps=3000, rate=0.4, seed=5, cfg=CFG):
+def clean_run(steps=3000, rate=0.4, seed=5, cfg=CFG, fault_plan=None):
     world = World.clean_start(cfg)
     sched = RoundRobinScheduler()
     sched.configure_workload(seed, {0: rate})
     tracker = ShadowTracker(cfg)
     monitor = InvariantMonitor()
-    trace = run(world, sched, steps, observers=[tracker, monitor])
+    trace = run(world, sched, steps, fault_plan=fault_plan, observers=[tracker, monitor])
     return world, trace, tracker, monitor
 
 
@@ -173,3 +192,156 @@ class TestGlobalInvariants:
         echo.mid[2] = (echo.mid[2] + 1) % CFG.maxint
         entry.message.client.rcvd_local = echo
         assert global_invariants(world)
+
+
+# -- reference audits: the linear-scan versions the bisecting ones replace ----------
+
+
+def ref_static_changes_between(tracker, proc, lo, hi):
+    count = 0
+    steps = tracker.snap_steps[proc]
+    pairs = tracker.snap_pairs[proc]
+    start = bisect.bisect_right(steps, lo) - 1
+    if start < 0:
+        start = 0
+    prev = pairs[start]
+    for idx in range(start + 1, bisect.bisect_right(steps, hi)):
+        if not equal_static(prev, pairs[idx]):
+            count += 1
+        prev = pairs[idx]
+    return count
+
+
+def ref_check_requirement1(tracker, total_steps, restart_steps, seed=0):
+    rng = random.Random(seed)
+    full = total_steps <= FULL_DENSITY_LIMIT
+    violations = []
+    for proc, lo, hi in _sample_pairs(total_steps, tracker.config.proc_ids, rng, full):
+        restarts = restart_steps.get(proc, [])
+        if _count_in(restarts, lo - 1, hi - 1):
+            continue
+        if ref_static_changes_between(tracker, proc, lo, hi) > 1:
+            continue
+        zx = tracker.pair_at(proc, lo)
+        zy = tracker.pair_at(proc, hi)
+        if zx is None or zy is None:
+            continue
+        expected = tracker.increments_between(proc, lo, hi)
+        got = event_count_query(zx, zy, proc)
+        if got is None or got != expected:
+            violations.append(Violation(
+                "requirement1", hi, proc,
+                f"steps {lo}->{hi}: query={got} trace={expected}"))
+    return violations
+
+
+def ref_check_causal(tracker, segments, revive_steps, seed=0, samples_per_segment=60):
+    rng = random.Random(seed)
+    procs = list(tracker.config.proc_ids)
+    violations = []
+    for start, end in segments:
+        if end <= start:
+            continue
+        cuts = [s for s in revive_steps if start <= s <= end]
+        windows = _split_windows(start, end, cuts)
+        for _ in range(samples_per_segment):
+            lo, hi = windows[rng.randrange(len(windows))]
+            if hi - lo < 2:
+                continue
+            pi = procs[rng.randrange(len(procs))]
+            pj = procs[rng.randrange(len(procs))]
+            sx = lo + rng.randrange(hi - lo)
+            sy = lo + rng.randrange(hi - lo)
+            zi = tracker.pair_at(pi, sx)
+            zj = tracker.pair_at(pj, sy)
+            si = tracker.shadow_at(pi, sx)
+            sj = tracker.shadow_at(pj, sy)
+            if None in (zi, zj, si, sj):
+                continue
+            if exists_overlap(zi, zj) is None:
+                continue
+            expected = _shadow_hb(si, sj)
+            got = causal_precedence(zi, zj)
+            if got != expected:
+                violations.append(Violation(
+                    "causal", sy, pj,
+                    f"({pi}@{sx}) vs ({pj}@{sy}): query={got} shadow={expected}"))
+    return violations
+
+
+AUDITED_RUNS = {
+    "clean": dict(steps=3000, rate=0.4, seed=5),
+    "wraparound": dict(steps=3000, rate=1.0, seed=9),
+    "crash_restart": dict(steps=3000, rate=0.5, seed=7,
+                          fault_plan=FaultPlan(crash_at={2: 700}, restart_at={2: 1100})),
+}
+
+
+def _tamper(tracker, seed):
+    """Corrupt a few pair and shadow snapshots so both audits find violations."""
+    rng = random.Random(seed)
+    for proc in tracker.config.proc_ids:
+        pairs, shadows = tracker.snap_pairs[proc], tracker.snap_shadows[proc]
+        for _ in range(max(1, len(pairs) // 50)):
+            idx = rng.randrange(1, len(pairs))
+            pairs[idx] = pairs[idx - 1]
+            shadows[rng.randrange(len(shadows))][rng.randrange(CFG.n)] += 1
+
+
+class TestAuditEquivalence:
+    """The bisecting audits give the linear-scan audits' answers exactly."""
+
+    @pytest.mark.parametrize("name", sorted(AUDITED_RUNS))
+    @pytest.mark.parametrize("tampered", [False, True])
+    def test_same_violations(self, name, tampered):
+        _world, trace, tracker, _ = clean_run(**AUDITED_RUNS[name])
+        if tampered:
+            _tamper(tracker, seed=len(name))
+        restarts = {}
+        for event in trace.by_kind("restart_local"):
+            restarts.setdefault(event.proc, []).append(event.step)
+        segments = find_legal_segments(trace)
+        revive_steps = sorted(e.step for e in trace.by_kind("revive"))
+        req1 = ref_check_requirement1(tracker, trace.steps, restarts, seed=3)
+        causal = ref_check_causal(tracker, segments, revive_steps, seed=3)
+        assert check_requirement1(tracker, trace.steps, restarts, seed=3) == req1
+        assert check_causal(tracker, segments, revive_steps, seed=3) == causal
+        if tampered:
+            assert req1 and causal
+
+    def test_static_changes_match_linear_scan_while_growing(self):
+        _world, trace, full, _ = clean_run(**AUDITED_RUNS["crash_restart"])
+        # Feed the snapshots to a fresh tracker in chunks, querying between
+        # chunks, so the prefix counts are extended from where they stopped.
+        tracker = ShadowTracker(CFG)
+        rng = random.Random(11)
+        for upto in (1, 40, 41, 500, trace.steps + 1):
+            for proc in CFG.proc_ids:
+                count = bisect.bisect_right(full.snap_steps[proc], upto)
+                tracker.snap_steps[proc][:] = full.snap_steps[proc][:count]
+                tracker.snap_pairs[proc][:] = full.snap_pairs[proc][:count]
+            for _ in range(600):
+                proc = rng.choice(CFG.proc_ids)
+                lo = rng.randrange(-2, upto + 2)
+                hi = lo + rng.choice([-1, 0, 1, 7, 61, 509, 4099])
+                assert (tracker.static_changes_between(proc, lo, hi)
+                        == ref_static_changes_between(tracker, proc, lo, hi))
+
+    def test_static_changes_compare_each_snapshot_once(self, monkeypatch):
+        _world, trace, tracker, _ = clean_run(**AUDITED_RUNS["wraparound"])
+        calls = []
+
+        def counting_equal_static(a, b):
+            calls.append(1)
+            return equal_static(a, b)
+
+        monkeypatch.setattr(stablevc.oracle, "equal_static", counting_equal_static)
+        for proc in CFG.proc_ids:
+            tracker.static_changes_between(proc, 0, 1)
+        snapshots = sum(len(tracker.snap_pairs[p]) for p in CFG.proc_ids)
+        assert len(calls) == snapshots - CFG.n
+        del calls[:]
+        for proc in CFG.proc_ids:
+            for lo in range(0, trace.steps, 37):
+                tracker.static_changes_between(proc, lo, lo + 509)
+        assert calls == []

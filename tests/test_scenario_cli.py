@@ -5,8 +5,9 @@ import os
 import pytest
 
 from stablevc.cli import EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR, EXIT_OK, main
-from stablevc.errors import ScenarioError
+from stablevc.errors import PreconditionViolated, ScenarioError
 from stablevc.scenario import Scenario, load_scenario, parse_scenario
+from stablevc.simnet import FaultPlan
 
 GOOD = """
 n = 3
@@ -80,6 +81,22 @@ class TestParsing:
         assert scenario.rate_overrides == {2: 0.9}
         assert "increment_rate.2" in scenario.to_text()
 
+    def test_rate_outside_unit_interval(self):
+        with pytest.raises(ScenarioError):
+            parse_scenario(GOOD.replace("increment_rate = 0.5", "increment_rate = 7.5"))
+        with pytest.raises(ScenarioError):
+            parse_scenario(GOOD + "increment_rate.2 = -0.1\n")
+
+    def test_rate_override_bad_proc_id(self):
+        with pytest.raises(ScenarioError):
+            parse_scenario(GOOD + "increment_rate.9 = 0.5\n")
+
+    def test_restart_without_crash(self):
+        with pytest.raises(ScenarioError):
+            parse_scenario(FAULTY.replace("crash = 2@100", "crash = 1@100"))
+        with pytest.raises(PreconditionViolated):
+            FaultPlan(restart_at={2: 5})
+
 
 class TestCli:
     def _write(self, tmp_path, text, name="case.scenario"):
@@ -93,8 +110,18 @@ class TestCli:
         assert (tmp_path / "case.trace").exists()
         assert (tmp_path / "case.stats").read_text().startswith("stats ")
 
-    def test_run_malformed_exit_two(self, tmp_path):
+    def test_run_malformed_exit_two(self, tmp_path, capsys):
         path = self._write(tmp_path, "nonsense without equals\n")
+        assert main(["run", path, "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
+        utf16 = tmp_path / "utf16.scenario"
+        utf16.write_bytes(b"\xff\xfe" + GOOD.encode("utf-16-le"))
+        capsys.readouterr()
+        assert main(["run", str(utf16), "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        for bad in ("increment_rate = 7.5", "increment_rate.9 = 0.5"):
+            path = self._write(tmp_path, GOOD + bad + "\n")
+            assert main(["run", path, "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
+        path = self._write(tmp_path, GOOD + "[faults]\nrestart = 2@5\n")
         assert main(["run", path, "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
 
     def test_run_missing_file_exit_two(self, tmp_path):
@@ -128,6 +155,10 @@ class TestCli:
         assert main(["replay", str(bad)]) == EXIT_CONFIG_ERROR
         capsys.readouterr()
         assert main(["replay", str(tmp_path / "missing.trace")]) == EXIT_CONFIG_ERROR
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        utf16 = tmp_path / "utf16.trace"
+        utf16.write_bytes(b"\xff\xfe" + "#stablevc-trace v1\n".encode("utf-16-le"))
+        assert main(["replay", str(utf16)]) == EXIT_CONFIG_ERROR
         assert len(capsys.readouterr().err.splitlines()) == 1
 
     def test_stats_command(self, tmp_path, capsys):
