@@ -9,6 +9,7 @@ environment variable.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -84,12 +85,13 @@ def _run_one(args) -> int:
     path, seed_override, steps_override, out_dir, checks_override = args
     try:
         scenario = load_scenario(path)
-        if seed_override is not None:
-            scenario.seed = seed_override
-        if steps_override is not None:
-            scenario.steps = steps_override
-        if checks_override is not None:
-            scenario.checks = parse_checks(checks_override, "--checks")
+        # replace() reruns Scenario.__post_init__, so overrides are validated.
+        scenario = dataclasses.replace(
+            scenario,
+            seed=scenario.seed if seed_override is None else seed_override,
+            steps=scenario.steps if steps_override is None else steps_override,
+            checks=(scenario.checks if checks_override is None
+                    else parse_checks(checks_override, "--checks")))
         _world, trace, summary, failures = execute_scenario(scenario)
     except (ScenarioError, StableVCError, OSError) as exc:
         print(f"{path}: error: {exc}", file=sys.stderr)

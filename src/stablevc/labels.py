@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
+from itertools import filterfalse
 from typing import FrozenSet, Iterable, Optional, Sequence, Set
 
 from .errors import DomainExhausted, PreconditionViolated
@@ -35,7 +36,12 @@ class LabelConfig:
 
 
 class LabelComponent:
-    """Immutable (sting, antistings) pair; hash precomputed for fast dedup."""
+    """Immutable (sting, antistings) pair; hash precomputed for fast dedup.
+
+    The antistings extrema ``_lo``/``_hi`` (0 for an empty set) start as
+    ``None`` and are found on first use by ``find_extrema``: most components
+    are never validated or rendered, and each scan costs O(k).
+    """
 
     __slots__ = ("sting", "antistings", "_hash", "_lo", "_hi", "__weakref__")
 
@@ -43,8 +49,11 @@ class LabelComponent:
         self.sting = sting
         self.antistings = antistings if isinstance(antistings, frozenset) else frozenset(antistings)
         self._hash = hash((sting, self.antistings))
-        self._lo = min(self.antistings) if self.antistings else 0
-        self._hi = max(self.antistings) if self.antistings else 0
+        self._lo = self._hi = None
+
+    def find_extrema(self) -> None:
+        anti = self.antistings
+        self._lo, self._hi = (min(anti), max(anti)) if anti else (0, 0)
 
     def __hash__(self) -> int:
         return self._hash
@@ -65,13 +74,12 @@ class LabelComponent:
         return f"({self.sting},{{{inner}}})"
 
     def valid_under(self, cfg: LabelConfig) -> bool:
-        """Structural validity: cardinality and domain bounds (O(1) via cached extrema)."""
-        return (
-            len(self.antistings) == cfg.k
-            and 1 <= self.sting <= cfg.domain_size
-            and self._lo >= 1
-            and self._hi <= cfg.domain_size
-        )
+        """Structural validity: cardinality and domain bounds (O(1) once the extrema are known)."""
+        if len(self.antistings) != cfg.k or not 1 <= self.sting <= cfg.domain_size:
+            return False
+        if self._lo is None:
+            self.find_extrema()
+        return self._lo >= 1 and self._hi <= cfg.domain_size
 
 
 class Label:
@@ -203,31 +211,31 @@ def next_b_from_sets(stings: Set[int], blocked: Set[int], cfg: LabelConfig) -> L
     Split out so label storage can keep the union incrementally instead of
     rebuilding it at every creation.
     """
-    sting = None
-    for cand in range(1, cfg.domain_size + 1):
-        if cand not in blocked and cand not in stings:
-            sting = cand
-            break
+    domain = range(1, cfg.domain_size + 1)
+    sting = next(filterfalse(stings.__contains__, filterfalse(blocked.__contains__, domain)), None)
     if sting is None:
         # All free values collide with input stings; fall back to the domain
         # guarantee (|D| > k^2) which only excludes antistings.
-        for cand in range(1, cfg.domain_size + 1):
-            if cand not in blocked:
-                sting = cand
-                break
+        sting = next(filterfalse(blocked.__contains__, domain), None)
     if sting is None:
         raise DomainExhausted("no fresh sting available; k sizing invariant violated")
-
     # Every input sting goes in, even one the fallback reused as the new
     # sting: that is what puts the input below the output.
-    anti = set(stings)
-    cand = 1
-    while len(anti) < cfg.k:
-        if cand != sting and cand not in anti:
-            anti.add(cand)
-        cand += 1
-        if cand > cfg.domain_size + 1:
+    return _padded_component(sting, set(stings), cfg)
+
+
+def _padded_component(sting: int, anti: Set[int], cfg: LabelConfig) -> LabelComponent:
+    """Intern (sting, anti) after padding ``anti`` up to k with the smallest
+    domain values that are neither in it nor ``sting``."""
+    need = cfg.k - len(anti)
+    if need > 0:
+        # [1, top] holds `need` such values unless it reaches the domain's end.
+        free = set(range(1, min(need + len(anti) + 1, cfg.domain_size) + 1))
+        free -= anti
+        free.discard(sting)
+        if len(free) < need:
             raise DomainExhausted("cannot pad antistings to size k")
+        anti.update(sorted(free)[:need])
     return intern_component(LabelComponent(sting, frozenset(anti)))
 
 
@@ -242,17 +250,12 @@ def successor_component(comp: LabelComponent, cfg: LabelConfig) -> LabelComponen
     ordered under the component order (up to a k-era window).
     """
     low_zone = cfg.k + 1
-    sting = None
-    for cand in range(max(comp.sting, low_zone) + 1, cfg.domain_size + 1):
-        if cand not in comp.antistings:
-            sting = cand
-            break
+    taken = comp.antistings.__contains__
+    sting = next(filterfalse(taken, range(max(comp.sting, low_zone) + 1, cfg.domain_size + 1)), None)
     if sting is None:
         # The sting budget wrapped (after ~k^2 epochs); restart the chain low.
-        for cand in range(1, cfg.domain_size + 1):
-            if cand not in comp.antistings and cand != comp.sting:
-                sting = cand
-                break
+        free = filterfalse(taken, range(1, cfg.domain_size + 1))
+        sting = next(filterfalse(comp.sting.__eq__, free), None)
     if sting is None:
         raise DomainExhausted("no successor sting available")
     chain = {v for v in comp.antistings if v > low_zone}
@@ -260,15 +263,7 @@ def successor_component(comp: LabelComponent, cfg: LabelConfig) -> LabelComponen
     chain.discard(sting)
     while len(chain) > cfg.k:
         chain.remove(min(chain))
-    anti = chain
-    cand = 1
-    while len(anti) < cfg.k:
-        if cand != sting and cand not in anti:
-            anti.add(cand)
-        cand += 1
-        if cand > cfg.domain_size + 1:
-            raise DomainExhausted("cannot pad antistings to size k")
-    return intern_component(LabelComponent(sting, frozenset(anti)))
+    return _padded_component(sting, chain, cfg)
 
 
 def next_label(own_history: Sequence[Label], creator: int, cfg: LabelConfig) -> Label:

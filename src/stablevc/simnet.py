@@ -362,8 +362,10 @@ def _random_component(cfg, rng: random.Random) -> LabelComponent:
     stride = rng.randrange(1, domain)
     while _gcd(stride, domain) != 1:
         stride += 1
-    anti = frozenset((start + i * stride) % domain + 1 for i in range(cfg.k))
-    return LabelComponent(sting, anti)
+    # Each member is (start + i*stride) % domain + 1; taking (x + 1) % domain
+    # instead maps the member `domain` to 0, which is swapped back.
+    anti = frozenset([v % domain for v in range(start + 1, start + 1 + cfg.k * stride, stride)])
+    return LabelComponent(sting, anti - {0} | {domain} if 0 in anti else anti)
 
 
 def _gcd(a: int, b: int) -> int:

@@ -50,6 +50,8 @@ def format_pair(pair) -> str:
 def _label_digest(label: Label) -> str:
     """Compact content-derived fingerprint used in high-volume event lines."""
     ml = label.ml
+    if ml._lo is None:
+        ml.find_extrema()
     mark = f"!{label.cl.sting}" if label.cl is not None else ""
     return f"{label.creator}.{ml.sting}.{ml._lo}-{ml._hi}{mark}"
 

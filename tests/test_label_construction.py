@@ -1,0 +1,271 @@
+"""Label component construction: the set-building fast paths against their
+element-by-element reference versions, and extrema found on first use."""
+
+import random
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from stablevc.errors import DomainExhausted
+from stablevc.labeling import SystemConfig
+from stablevc.labels import Label, LabelComponent, LabelConfig, next_b_from_sets, successor_component
+from stablevc.simnet import World, _gcd, _random_component, inject_transient
+from stablevc.trace import _label_digest
+
+C4_CFG = SystemConfig(4, 2, 16).label_config  # k = 1,064, |D| = 1,132,097
+
+
+# -- reference versions: one Python step per domain value -----------------------
+
+def ref_random_component(cfg, rng):
+    sting = rng.randint(1, cfg.domain_size)
+    domain = cfg.domain_size
+    start = rng.randrange(domain)
+    stride = rng.randrange(1, domain)
+    while _gcd(stride, domain) != 1:
+        stride += 1
+    return sting, frozenset((start + i * stride) % domain + 1 for i in range(cfg.k))
+
+
+def _ref_pad(anti, sting, cfg):
+    cand = 1
+    while len(anti) < cfg.k:
+        if cand != sting and cand not in anti:
+            anti.add(cand)
+        cand += 1
+        if cand > cfg.domain_size + 1:
+            raise DomainExhausted("cannot pad antistings to size k")
+    return sting, frozenset(anti)
+
+
+def ref_next_b_from_sets(stings, blocked, cfg):
+    sting = None
+    for cand in range(1, cfg.domain_size + 1):
+        if cand not in blocked and cand not in stings:
+            sting = cand
+            break
+    if sting is None:
+        for cand in range(1, cfg.domain_size + 1):
+            if cand not in blocked:
+                sting = cand
+                break
+    if sting is None:
+        raise DomainExhausted("no fresh sting available; k sizing invariant violated")
+    return _ref_pad(set(stings), sting, cfg)
+
+
+def ref_successor_component(sting0, antistings, cfg):
+    low_zone = cfg.k + 1
+    sting = None
+    for cand in range(max(sting0, low_zone) + 1, cfg.domain_size + 1):
+        if cand not in antistings:
+            sting = cand
+            break
+    if sting is None:
+        for cand in range(1, cfg.domain_size + 1):
+            if cand not in antistings and cand != sting0:
+                sting = cand
+                break
+    if sting is None:
+        raise DomainExhausted("no successor sting available")
+    chain = {v for v in antistings if v > low_zone}
+    chain.add(sting0)
+    chain.discard(sting)
+    while len(chain) > cfg.k:
+        chain.remove(min(chain))
+    return _ref_pad(chain, sting, cfg)
+
+
+def outcome(fn, *args):
+    """(sting, antistings) of a construction, or the DomainExhausted it raised."""
+    try:
+        out = fn(*args)
+    except DomainExhausted:
+        return DomainExhausted
+    return out if isinstance(out, tuple) else (out.sting, out.antistings)
+
+
+class ScriptedRng:
+    """Answers randint/randrange with fixed values, in draw order."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def randint(self, *_bounds):
+        return self.values.pop(0)
+
+    randrange = randint
+
+
+# -- injection ---------------------------------------------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 12), st.integers(0, 2**32))
+def test_random_component_matches_reference_small_k(k, seed):
+    cfg = LabelConfig(k=k)
+    ours, theirs = random.Random(seed), random.Random(seed)
+    comp = _random_component(cfg, ours)
+    assert (comp.sting, comp.antistings) == ref_random_component(cfg, theirs)
+    assert ours.getstate() == theirs.getstate()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32))
+def test_random_component_matches_reference_c4_sizing(seed):
+    ours, theirs = random.Random(seed), random.Random(seed)
+    comp = _random_component(C4_CFG, ours)
+    assert (comp.sting, comp.antistings) == ref_random_component(C4_CFG, theirs)
+    assert ours.getstate() == theirs.getstate()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+@example(data=None)
+def test_random_component_draws_including_the_domain_value(data):
+    # start = domain - 1 makes the first member `domain` itself, the value the
+    # construction first produces as 0.
+    for cfg in (LabelConfig(k=3), C4_CFG):
+        domain = cfg.domain_size
+        if data is None:
+            draws = (1, domain - 1, 1)
+        else:
+            draws = (data.draw(st.integers(1, domain)), data.draw(st.integers(0, domain - 1)),
+                     data.draw(st.integers(1, domain - 1)))
+        comp = _random_component(cfg, ScriptedRng(*draws))
+        assert (comp.sting, comp.antistings) == ref_random_component(cfg, ScriptedRng(*draws))
+        if data is None:
+            assert domain in comp.antistings and 0 not in comp.antistings
+        assert len(comp.antistings) == cfg.k
+
+
+# -- minting -----------------------------------------------------------------------
+
+def _stub_cfg(k, domain_size):
+    # Sizes LabelConfig refuses, so the DomainExhausted paths are reachable.
+    return SimpleNamespace(k=k, domain_size=domain_size)
+
+
+small_sets = st.sets(st.integers(0, 24), max_size=12)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 6), st.integers(1, 20), small_sets, small_sets)
+@example(k=4, domain=17, stings={1, 5, 6, 15},
+         blocked=set(range(1, 18)) - {1, 5, 6, 15})  # every free value is an input sting
+@example(k=2, domain=5, stings=set(), blocked={1, 2, 3, 4, 5})  # no sting at all
+@example(k=6, domain=4, stings=set(), blocked={1})  # too few values to pad
+def test_next_b_from_sets_matches_reference(k, domain, stings, blocked):
+    cfg = _stub_cfg(k, domain)
+    assert outcome(next_b_from_sets, set(stings), set(blocked), cfg) == \
+        outcome(ref_next_b_from_sets, set(stings), set(blocked), cfg)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 6), st.integers(1, 20), st.integers(0, 24), small_sets)
+@example(k=2, domain=5, sting=5, anti={1, 2, 3, 4})  # no successor sting
+@example(k=6, domain=4, sting=4, anti={1})  # too few values to pad
+def test_successor_component_matches_reference(k, domain, sting, anti):
+    cfg = _stub_cfg(k, domain)
+    comp = LabelComponent(sting, frozenset(anti))
+    assert outcome(successor_component, comp, cfg) == \
+        outcome(ref_successor_component, sting, frozenset(anti), cfg)
+
+
+def test_domain_exhausted_raised_where_the_reference_raises():
+    with pytest.raises(DomainExhausted):
+        next_b_from_sets(set(), {1, 2, 3, 4, 5}, LabelConfig(k=2))
+    with pytest.raises(DomainExhausted):
+        successor_component(LabelComponent(5, frozenset({1, 2, 3, 4})), LabelConfig(k=2))
+    with pytest.raises(DomainExhausted):
+        next_b_from_sets(set(), {1}, _stub_cfg(6, 4))
+    with pytest.raises(DomainExhausted):
+        successor_component(LabelComponent(4, frozenset({1})), _stub_cfg(6, 4))
+
+
+def test_next_b_fallback_matches_reference_c4_sizing():
+    cfg = C4_CFG
+    free = {3, 700, 5000, 1132097}
+    stings = free | {1, 2}
+    blocked = set(range(1, cfg.domain_size + 1)) - free
+    out = next_b_from_sets(stings, blocked, cfg)
+    assert out.sting == 3
+    assert (out.sting, out.antistings) == ref_next_b_from_sets(stings, blocked, cfg)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32))
+def test_mints_match_reference_c4_sizing(seed):
+    cfg = C4_CFG
+    rng = random.Random(seed)
+    comps = [_random_component(cfg, rng) for _ in range(rng.randint(0, 6))]
+    stings = {c.sting for c in comps}
+    blocked = set().union(*(c.antistings for c in comps))
+    fresh = next_b_from_sets(stings, blocked, cfg)
+    assert (fresh.sting, fresh.antistings) == ref_next_b_from_sets(stings, blocked, cfg)
+    comp = comps[0] if comps else fresh
+    for _ in range(3):
+        nxt = successor_component(comp, cfg)
+        assert (nxt.sting, nxt.antistings) == \
+            ref_successor_component(comp.sting, comp.antistings, cfg)
+        comp = nxt
+
+
+def test_successor_chain_through_the_sting_budget_wrap():
+    cfg = LabelConfig(k=3)  # |D| = 10: chain stings 5..10, then the wrap
+    comp = LabelComponent(1, frozenset({2, 3, 4}))
+    wraps = 0
+    for _ in range(40):
+        nxt = successor_component(comp, cfg)
+        assert (nxt.sting, nxt.antistings) == \
+            ref_successor_component(comp.sting, comp.antistings, cfg)
+        wraps += nxt.sting < comp.sting
+        comp = nxt
+    assert wraps >= 2
+
+
+# -- extrema found on first use ----------------------------------------------------
+
+def _message_components(message):
+    labels = [message.sender_max, message.last_sent]
+    for pair in (message.client.arriving, message.client.rcvd_local):
+        labels += [pair.curr_label, pair.prev_label]
+    for label in filter(None, labels):
+        yield label.ml
+        if label.cl is not None:
+            yield label.cl
+
+
+def test_injected_components_have_no_extrema_yet():
+    world = World.clean_start(SystemConfig(3, 2, 16))
+    inject_transient(world, 5, scope="channels")
+    comps = [c for ch in world.channels.values() for entry in ch.queue
+             for c in _message_components(entry.message)]
+    assert len(comps) > 20
+    assert all(c._lo is None and c._hi is None for c in comps)
+
+
+def test_valid_under_rejects_on_first_query():
+    cfg = LabelConfig(k=3)
+    zero, above = LabelComponent(5, frozenset({0, 2, 3})), LabelComponent(5, frozenset({2, 3, 11}))
+    short, good = LabelComponent(5, frozenset({2, 3})), LabelComponent(5, frozenset({2, 3, 10}))
+    for comp in (zero, above, short, good):
+        assert comp._lo is None
+    assert not zero.valid_under(cfg)
+    assert not above.valid_under(cfg)
+    assert not short.valid_under(cfg)
+    assert good.valid_under(cfg)
+    assert (zero._lo, above._hi, good._lo, good._hi) == (0, 11, 2, 10)
+
+
+def test_label_digest_renders_the_eager_extrema():
+    anti_sets = [frozenset(), frozenset({7}), frozenset({9, 2, 5}), frozenset(range(40, 90, 7))]
+    for anti in anti_sets:
+        lo, hi = (min(anti), max(anti)) if anti else (0, 0)
+        for cl in (None, LabelComponent(4, frozenset({1}))):
+            mark = "" if cl is None else "!4"
+            lazy = Label(3, LabelComponent(8, anti), cl)
+            assert _label_digest(lazy) == f"3.8.{lo}-{hi}{mark}"
+            assert _label_digest(lazy) == f"3.8.{lo}-{hi}{mark}"  # extrema now known
+    assert _label_digest(Label(1, LabelComponent(2, frozenset()))) == "1.2.0-0"

@@ -188,6 +188,14 @@ class TestCli:
         text = (tmp_path / "case.trace").read_text()
         assert "#steps 120" in text
 
+    def test_bad_steps_override_exit_two(self, tmp_path, capsys):
+        path = self._write(tmp_path, GOOD)
+        for steps in ("0", "-5"):
+            capsys.readouterr()
+            assert main(["run", path, "--out", str(tmp_path), "--steps", steps]) == EXIT_CONFIG_ERROR
+            assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not (tmp_path / "case.trace").exists()
+
     def test_jobs_parallel_runs(self, tmp_path):
         paths = [self._write(tmp_path, GOOD, f"case{i}.scenario") for i in range(2)]
         assert main(["run", *paths, "--out", str(tmp_path), "--jobs", "2"]) == EXIT_OK
