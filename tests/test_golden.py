@@ -8,6 +8,13 @@ If a digest changes on purpose, the change that moves it must say why.
   lines, ``Trace.counts`` and every processor's final local pair.
 - The three shipped scenarios: SHA-256 of the full trace file bytes, as
   ``stablevc run`` writes them.
+- A grid over N in {2, 3, 5} and MAXINT in {2, 4, 64}, each cell run twice:
+  random scheduler, transient scope "all", "full" trace; round-robin
+  scheduler, scope "channels", "faults" trace with an ``InvariantMonitor``.
+  The cells rotate through crash/undetectable-restart, duplicate and
+  reorder plans, and every "channels" run duplicates an injected channel
+  head at step 0.  SHA-256 over the rendered trace, ``Trace.counts``, every
+  processor's whole pair vector and the monitor's tallies.
 """
 
 import hashlib
@@ -17,9 +24,10 @@ import pytest
 
 from stablevc.cli import execute_scenario
 from stablevc.labeling import SystemConfig
+from stablevc.oracle import InvariantMonitor
 from stablevc.scenario import load_scenario
-from stablevc.simnet import FaultPlan, RandomScheduler, World, run
-from stablevc.trace import format_pair
+from stablevc.simnet import FaultPlan, RandomScheduler, RoundRobinScheduler, World, run
+from stablevc.trace import TRACE_VERSION, format_pair
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -34,6 +42,71 @@ SCENARIO_DIGESTS = {
     "transient": "e4a87565fde37691612c18c242bc62230c3c29c0fd92b5cef14ee0dec547f0cc",
     "wraparound": "4cec49f5ad9d35ba89752717973349cf2b06e6a0aaf0a756456d497e6af77093",
 }
+
+GRID_DIGESTS = {
+    "n2-m2-random-all-full": "bdf7efdc0c39d8bdb6a53155cc9b674da41357eb71d6fc3a1b138b3053a80c05",
+    "n2-m2-rr-channels-faults": "cfd3039ee37be34cc5431d2dbf359aa739dc5319506a04b69431039a4fba9f3b",
+    "n2-m4-random-all-full": "36df7b58fca63bf757f30c023c55461eea32d6cd2cc9f941e916636eeb625766",
+    "n2-m4-rr-channels-faults": "05088bc31a5d466c972656e6182fb578451650144df8b53307d4990c3a60d699",
+    "n2-m64-random-all-full": "3714f9d592ebbf04753756aebdfca47832a826c3c664d4e7b5a21f3562dad25b",
+    "n2-m64-rr-channels-faults": "ff388edc29581aa617c31c5c305ac32542ecc31d47871880258dd59a8ff1adfd",
+    "n3-m2-random-all-full": "33b016f41d337b8100e07d824250a7f71ca1d57b69754284c4c95ddcb9f5817e",
+    "n3-m2-rr-channels-faults": "4ffd4788baf9a9fd68d02474943147e996587acbfc0dddb6c101bbe358a283a6",
+    "n3-m4-random-all-full": "c0a0a6b12b4a87314fe84bde17309510f79ff702f0b9179939155f0ee2deef7e",
+    "n3-m4-rr-channels-faults": "f56fc9b5e03e3e97faa3ac42d5126745d140bd2078ca68d5254e989b7d285d39",
+    "n3-m64-random-all-full": "92e61545618a80dc16ba252dc10eb3e10b0287eb6b3bdff2edbacb404793a307",
+    "n3-m64-rr-channels-faults": "f7c2daffac37a57e8f09dec9aa149aee57176170504aaa5728d366a956a72868",
+    "n5-m2-random-all-full": "4e145ca96907a77e9b8d74b28a027e696585ae36dbd5cb9612e686f29d0a38df",
+    "n5-m2-rr-channels-faults": "6cc688c707dcc187a32613f268cdfcca8a2284f9a1fa1544a697edf8cc94b14e",
+    "n5-m4-random-all-full": "76f8b37829b5fbfc765011e452ba9efaeed519720262be90f7a615d25236c1f7",
+    "n5-m4-rr-channels-faults": "9ae23eefb5df53edf731d123151b4fda4aca6d1be824cdcc01f439ff00c36730",
+    "n5-m64-random-all-full": "63fe8d15f4993b579f1cff085d88f9b2e92c0aa86c48bedaad03139c3848e1c2",
+    "n5-m64-rr-channels-faults": "e2bae3bc2c6b46f20d2512c64b60c9203c4da57f3d2965fefa2bbfff8f3cfbfc",
+}
+
+
+def _grid_cases():
+    cases = []
+    for cell, (n, maxint) in enumerate((n, m) for n in (2, 3, 5) for m in (2, 4, 64)):
+        seed = 100 + cell
+        steps = 3000 if n == 5 else 4000
+        if cell % 3 == 0:
+            faults = dict(crash_at={2: 150}, restart_at={2: 500})
+        elif cell % 3 == 1:
+            faults = dict(duplications=[(2, 1, 40), (1, 2, 333)])
+        else:
+            faults = dict(reorders=[(1, 2, 3), (2, 1, 260)], duplications=[(1, 2, 90)])
+        rates = {0: 0.3, 1: 1.0} if cell % 2 else {0: 0.3, n: 0.0}
+        cases.append((f"n{n}-m{maxint}-random-all-full", n, maxint, seed, "random",
+                      "all", faults, "full", rates, steps))
+        channel_faults = dict(faults)
+        channel_faults["duplications"] = [(1, 2, 0)] + faults.get("duplications", [])
+        cases.append((f"n{n}-m{maxint}-rr-channels-faults", n, maxint, seed, "round_robin",
+                      "channels", channel_faults, "faults", rates, steps))
+    return {case[0]: case[1:] for case in cases}
+
+
+GRID = _grid_cases()
+
+
+def grid_digest(name: str) -> str:
+    n, maxint, seed, scheduler, scope, faults, level, rates, steps = GRID[name]
+    config = SystemConfig(n=n, c=2, maxint=maxint)
+    world = World.clean_start(config)
+    sched = RandomScheduler(seed) if scheduler == "random" else RoundRobinScheduler()
+    sched.configure_workload(seed, rates)
+    plan = FaultPlan(transient_seed=seed, transient_scope=scope, **faults)
+    monitor = InvariantMonitor()
+    observers = [monitor] if level == "faults" else []
+    trace = run(world, sched, steps, fault_plan=plan, observers=observers,
+                trace_level=level)
+    lines = [f"#{TRACE_VERSION}", f"#steps {trace.steps}"]
+    lines += [event.render() for event in trace.events]
+    lines += [f"{kind}={trace.counts[kind]}" for kind in sorted(trace.counts)]
+    for i in config.proc_ids:
+        lines += [format_pair(pair) for pair in world.procs[i].pairs[1:]]
+    lines.append(f"monitor {monitor.checked} {[str(v) for v in monitor.violations]}")
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 def c4_digest(seed: int) -> str:
@@ -71,3 +144,8 @@ def test_c4_seed_digest(seed):
 @pytest.mark.parametrize("name", sorted(SCENARIO_DIGESTS))
 def test_scenario_trace_digest(name, tmp_path):
     assert scenario_digest(name, tmp_path) == SCENARIO_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(GRID))
+def test_grid_digest(name):
+    assert grid_digest(name) == GRID_DIGESTS[name]
