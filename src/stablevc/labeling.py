@@ -69,7 +69,7 @@ class SystemConfig:
         return range(1, self.n + 1)
 
 
-@dataclass
+@dataclass(slots=True)
 class ServerMessage:
     """Labeling part of a wire message plus the opaque client payload.
 
@@ -245,12 +245,36 @@ class LabelingState:
 
         Records the sender's maximal label, logs the labels carried by the
         client payload, applies the cancellation echo, then runs the full
-        bookkeeping pass.
+        bookkeeping pass if any of it changed the state.
+
+        The steady state of a sender whose pair spans two epochs of one
+        creator skips the logging: the extras are its maximal label and
+        then a label ``second`` of the same creator, and on a clean state
+        their stored copies are the two most recent entries of that queue,
+        ``second``'s first, with all the cancel evidence the two bring.
+        Logging both would move them to the front in the order they are
+        found in.  Since the last bookkeeping pass every entry sits in its
+        creator's queue and no two are =_m, so sharing the component object
+        means =_m.
         """
         sender_max = msg.sender_max
         unmoved = None
-        if len(extra_labels) == 2 and extra_labels[0] is sender_max:
-            unmoved = self._relogged_in_place(sender_max, extra_labels[1])
+        if len(extra_labels) == 2 and extra_labels[0] is sender_max \
+                and not self._dirty and self._ready:
+            second = extra_labels[1]
+            creator = sender_max.creator
+            try:
+                queue = self.stored[creator] if creator > 0 else ()
+                head, after = queue[0], queue[1]
+            except IndexError:  # a corrupt creator, or fewer than two entries
+                head = after = None
+            first_ml, second_ml = sender_max.ml, second.ml
+            if (head is not None and second.creator == creator
+                    and head.ml is second_ml and after.ml is first_ml
+                    and first_ml.sting != second_ml.sting
+                    and (sender_max.cl is None or after.cl is not None)
+                    and (second.cl is None or head.cl is not None)):
+                unmoved = after
         if unmoved is not None:
             self.max[sender] = unmoved
         else:
@@ -263,36 +287,8 @@ class LabelingState:
             mine = self.max[self.self_id]
             if mine is not None and eq_m(echo, mine):
                 self._cancel_stored(mine, echo.cl)
-        self.label_bookkeeping()
-
-    def _relogged_in_place(self, first: Label, second: Label) -> Optional[Label]:
-        """The stored copy of ``first`` if logging ``first`` and then
-        ``second`` would leave storage as it is, else None.
-
-        That holds when the stored copies of the two (=_m-distinct) labels
-        are the two most recent entries of one queue, ``second``'s first,
-        and neither label brings cancel evidence its stored copy lacks: the
-        two moves to the front then restore the order they found.  This is
-        the steady state of a sender whose pair spans two epochs of one
-        creator.  Only a clean state is considered: since the last
-        bookkeeping pass every entry sits in its creator's queue and no two
-        are =_m, so sharing the component object means =_m.
-        """
-        creator = first.creator
-        if second.creator != creator or creator < 1 or self._dirty or not self._ready:
-            return None
-        try:
-            queue = self.stored[creator]
-            head, after = queue[0], queue[1]
-        except IndexError:
-            return None
-        first_ml, second_ml = first.ml, second.ml
-        if (head.ml is second_ml and after.ml is first_ml
-                and first_ml.sting != second_ml.sting
-                and (first.cl is None or after.cl is not None)
-                and (second.cl is None or head.cl is not None)):
-            return after
-        return None
+        if self._dirty or not self._ready:
+            self.label_bookkeeping()
 
     def legit_msg(self, msg: ServerMessage, label: Label) -> bool:
         return eq_m(label, msg.sender_max)

@@ -28,7 +28,7 @@ from .vcpair import (
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class ClientMessage:
     """The clock part of a wire message: sender's snapshot plus the token echo."""
 
@@ -44,15 +44,14 @@ class PendingBroadcast:
     sender_max matches the snapshot's current label, and its cancellation
     echo cannot outrun the successor epoch) even when the labeling state
     advances between the sends.  ``echoes[dest]`` is the label held for
-    ``dest`` at begin (a copy of the labeling state's ``max``); None means
-    take it from the labeling state at send time.
+    ``dest`` at begin (a copy of the labeling state's ``max``); passing the
+    labeling state's ``max`` list itself takes it at send time instead.
     """
 
     __slots__ = ("snapshot", "remaining", "sender_max", "echoes")
 
     def __init__(self, snapshot: VectorClockPair, remaining: List[int],
-                 sender_max: Optional[Label] = None,
-                 echoes: Optional[List[Optional[Label]]] = None):
+                 sender_max: Label, echoes: List[Optional[Label]]):
         self.snapshot = snapshot
         self.remaining = remaining
         self.sender_max = sender_max
@@ -108,7 +107,7 @@ class ProcessorState:
     """All per-processor state: the pair vector, labeling layer, broadcast buffer."""
 
     __slots__ = ("id", "cfg", "peers", "labeling", "pairs", "pending_broadcast",
-                 "restart_calls", "revive_calls", "increments", "_vouched")
+                 "restart_calls", "revive_calls", "increments", "_vouched", "_joined")
 
     def __init__(self, proc_id: int, cfg: SystemConfig):
         self.id = proc_id
@@ -123,6 +122,9 @@ class ProcessorState:
         # (curr label, prev label, labeling stamp) of the last local pair the
         # broadcast loop found valid: the check depends on nothing else.
         self._vouched: Tuple = (None, None, None)
+        # _joined[j]: (pair from j, local pair it merged into with no revive)
+        # for the last such merge of a pair from j.
+        self._joined: List[Tuple] = [(None, None)] * (cfg.n + 1)
 
     # ``local`` is an alias for pairs[id].
     @property
@@ -172,12 +174,16 @@ class ProcessorState:
         )
 
     def increment(self, notes: StepNotes) -> None:
-        """Record one local event; revive on exhaustion."""
-        self.local.bump(self.id - 1)
+        """Record one local event on a copy of the local pair (the old one
+        may be a broadcast snapshot or a peer's stored pair); revive on
+        exhaustion."""
+        local = self.pairs[self.id].copy()
+        local.bump(self.id - 1)
         self.increments += 1
         notes.increments += 1
-        if exhausted(self.local):
-            self.local = self.revive(self.local, notes)
+        if exhausted(local):
+            local = self.revive(local, notes)
+        self.pairs[self.id] = local
 
     # -- broadcast loop ---------------------------------------------------------------
 
@@ -194,7 +200,7 @@ class ProcessorState:
         if labeling.created_log:
             notes = notes or StepNotes()
             notes.new_labels.extend(labeling.drain_created())
-        local = self.local
+        local = self.pairs[self.id]
         vouched = self._vouched
         if vouched[2] != labeling.stamp or vouched[0] is not local.curr_label \
                 or vouched[1] is not local.prev_label:
@@ -203,12 +209,14 @@ class ProcessorState:
             else:
                 notes = notes or StepNotes()
                 self.restart_local(notes, "line8")
-                local = self.local
+                local = self.pairs[self.id]
         if exhausted(local):
             notes = notes or StepNotes()
-            local = self.local = self.revive(local, notes)
+            local = self.pairs[self.id] = self.revive(local, notes)
+        # The local pair itself is the snapshot: no pair is changed in place
+        # once it may be shared (increment works on a copy).
         self.pending_broadcast = PendingBroadcast(
-            local.copy(), list(self.peers), labeling.get_label(), list(labeling.max))
+            local, list(self.peers), labeling.get_label(), list(labeling.max))
         return self._emit_next(notes or _NO_NOTES)
 
     def do_forever_continue(self) -> Tuple[int, ServerMessage, StepNotes]:
@@ -224,14 +232,13 @@ class ProcessorState:
 
     def _emit_next(self, notes: StepNotes) -> Tuple[int, ServerMessage, StepNotes]:
         # Pairs inside messages are shared immutable snapshots: every mutation
-        # path in the protocol operates on fresh copies, never in place.
+        # path in the protocol works on a fresh copy, never in place.
         pending = self.pending_broadcast
         dest = pending.remaining.pop(0)
         token = self.pairs[dest]
         if token is None:
             token = VectorClockPair.fresh(self.labeling.get_label(), self.cfg.n, self.cfg.maxint)
-        echoes = pending.echoes if pending.echoes is not None else self.labeling.max
-        message = ServerMessage(pending.sender_max, echoes[dest],
+        message = ServerMessage(pending.sender_max, pending.echoes[dest],
                                 ClientMessage(pending.snapshot, token))
         if not pending.remaining:
             self.pending_broadcast = None
@@ -271,25 +278,31 @@ class ProcessorState:
         if arriving.curr_label is not msg.sender_max \
                 and not labeling.legit_msg(msg, arriving.curr_label):
             return _ignored(notes, "legit_msg")
-        if not pair_invar(arriving):
-            return _ignored(notes, "pair_invar")
-
-        if equal_static(local, arriving):
-            # legit_pairs holds without asking: pair_invar(arriving) orders the
-            # two shared labels, and both items match (the BOTH_MATCH pivot).
-            if local.curr_m != arriving.curr_m:
-                local = merge_equal_static(local, arriving)
-        else:
-            pivot = legit_pairs(local, arriving)
-            if pivot is None:
+        joined = self._joined[sender]
+        if joined[0] is not arriving or joined[1] is not local:
+            # Else this very pair, which passed pair_invar, was merged into
+            # this very local pair with no revive: the join is idempotent,
+            # so merging it again would change nothing.
+            if not pair_invar(arriving):
+                return _ignored(notes, "pair_invar")
+            if equal_static(local, arriving):
+                # legit_pairs holds without asking: pair_invar(arriving) orders
+                # the two shared labels, and both items match (BOTH_MATCH).
+                if local.curr_m != arriving.curr_m:
+                    local = merge_equal_static(local, arriving)
+            else:
+                pivot = legit_pairs(local, arriving)
+                if pivot is None:
+                    notes = notes or StepNotes()
+                    self.restart_local(notes, "receive")
+                    return notes
+                local = merge(local, arriving, pivot)
+            if exhausted(local):
                 notes = notes or StepNotes()
-                self.restart_local(notes, "receive")
-                return notes
-            local = merge(local, arriving, pivot)
-        if exhausted(local):
-            notes = notes or StepNotes()
-            local = self.revive(local, notes)
-        self.pairs[self.id] = local
+                local = self.revive(local, notes)
+            else:
+                self._joined[sender] = (arriving, local)
+            self.pairs[self.id] = local
         if notes is None:
             return _MERGED
         notes.merged = True

@@ -9,8 +9,9 @@ scheduler, steps) tuple always reproduces the same trace.
 from __future__ import annotations
 
 import random
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 from .errors import ActionNotEnabled, AlreadyCrashed, NotCrashed, PreconditionViolated
@@ -113,26 +114,37 @@ class FaultPlan:
 
 
 class World:
-    """All processor states plus the channel matrix."""
+    """All processor states plus the channel matrix.
 
-    __slots__ = ("config", "procs", "channels", "incoming", "crashed", "clock", "_live")
+    ``channels[(i, j)]`` and ``links[i][j]`` are the same channel from i to j
+    (``links`` has a None diagonal and a None row and column 0).
+    ``inboxes[j]`` is ``(senders, queues)``: every sender i of j in id order,
+    and the channel's own deque ``links[i][j].queue`` for each, so a
+    scheduler sees which incoming queues hold messages.
+    """
+
+    __slots__ = ("config", "procs", "channels", "links", "inboxes", "crashed", "clock",
+                 "_live")
 
     def __init__(self, config: SystemConfig):
         self.config = config
+        ids = config.proc_ids
         self.procs: List[Optional[ProcessorState]] = [None] * (config.n + 1)
+        self.links: List[List[Optional[Channel]]] = [[None] * (config.n + 1)
+                                                     for _ in range(config.n + 1)]
         self.channels: Dict[Tuple[int, int], Channel] = {}
         self.crashed: set = set()
         self.clock = 0
-        for i in config.proc_ids:
+        for i in ids:
             self.procs[i] = ProcessorState(i, config)
-            for j in config.proc_ids:
+            for j in ids:
                 if i != j:
-                    self.channels[(i, j)] = Channel(i, j, config.c)
-        # incoming[i]: the channels feeding processor i, in sender order.
-        self.incoming: List[List[Channel]] = [[] for _ in range(config.n + 1)]
-        for i in config.proc_ids:
-            self.incoming[i] = [self.channels[(j, i)] for j in config.proc_ids if j != i]
-        self._live: List[int] = list(config.proc_ids)
+                    self.links[i][j] = self.channels[(i, j)] = Channel(i, j, config.c)
+        self.inboxes: List[Tuple[Tuple[int, ...], Tuple[Deque[ChannelEntry], ...]]] = [((), ())]
+        for j in ids:
+            senders = tuple(i for i in ids if i != j)
+            self.inboxes.append((senders, tuple(self.links[i][j].queue for i in senders)))
+        self._live: List[int] = list(ids)
 
     @classmethod
     def clean_start(cls, config: SystemConfig) -> "World":
@@ -198,6 +210,20 @@ def _seed_component(cfg) -> LabelComponent:
 # -- schedulers ---------------------------------------------------------------------
 
 
+class _IncrementRates(dict):
+    """proc -> its increment rate, resolved from the configured rates (its
+    own entry, else the key-0 default, else 0) on first use."""
+
+    def __init__(self, rates: Dict[int, float]):
+        super().__init__()
+        self.rates = rates
+
+    def __missing__(self, proc: int) -> float:
+        rates = self.rates
+        rate = self[proc] = rates.get(proc, rates.get(0, 0.0))
+        return rate
+
+
 class Scheduler:
     """Picks (processor, action) each step; subclasses define the policy.
 
@@ -207,46 +233,45 @@ class Scheduler:
     """
 
     def __init__(self) -> None:
-        self._prefer_receive: Dict[int, bool] = {}
-        self._next_source: Dict[int, int] = {}
+        self._prefer_receive: Dict[int, bool] = defaultdict(bool)
+        self._next_source: Dict[int, int] = defaultdict(int)
         self.workload_rng: Optional[random.Random] = None
         self.increment_rates: Dict[int, float] = {}
+        self._rate_of = _IncrementRates({})
 
     def configure_workload(self, seed: int, rates: Dict[int, float]) -> None:
+        """Seed the increment draws; ``rates`` maps a processor id to its
+        increment chance per loop iteration, with key 0 as the default."""
         self.workload_rng = random.Random(seed ^ 0x5EED)
         self.increment_rates = rates
+        self._rate_of = _IncrementRates(rates)
 
     def next(self, world: World) -> Optional[Tuple[int, Action]]:
         raise NotImplementedError
 
     def pick_action(self, world: World, proc: int) -> Action:
         prefer_receive = self._prefer_receive
-        if prefer_receive.get(proc, False):
-            sources = []
-            for channel in world.incoming[proc]:
-                if channel.queue:
-                    sources.append(channel.src)
+        if prefer_receive[proc]:
+            senders, queues = world.inboxes[proc]
+            sources = [*compress(senders, queues)]  # senders with a message
             if sources:
                 prefer_receive[proc] = False
                 # Rotate over the non-empty sources.
-                start = self._next_source.get(proc, 0)
+                next_source = self._next_source
+                start = next_source[proc]
                 count = len(sources)
-                self._next_source[proc] = (start + 1) % count
+                next_source[proc] = (start + 1) % count
                 return _RECEIVE_FROM[sources[start % count]]
         prefer_receive[proc] = True
         if world.procs[proc].pending_broadcast is not None:
             return _CONTINUE
-        return _BEGIN_INCREMENT if self._decide_increment(proc) else _BEGIN
-
-    def _decide_increment(self, proc: int) -> bool:
-        if self.workload_rng is None:
-            return False
-        rate = self.increment_rates.get(proc, self.increment_rates.get(0, 0.0))
+        # Draw only for a rate strictly inside (0, 1).
+        rate = self._rate_of[proc]
         if rate <= 0.0:
-            return False
-        if rate >= 1.0:
-            return True
-        return self.workload_rng.random() < rate
+            return _BEGIN
+        if rate >= 1.0 or self.workload_rng.random() < rate:
+            return _BEGIN_INCREMENT
+        return _BEGIN
 
 
 class RoundRobinScheduler(Scheduler):
@@ -282,6 +307,7 @@ class RandomScheduler(Scheduler):
     def __init__(self, seed: int):
         super().__init__()
         self.rng = random.Random(seed)
+        self._random = self.rng.random
         self._last_run: Dict[int, int] = {}
         self._live_seen: Optional[List[int]] = None  # the list _deadline covers
         self._deadline = 0
@@ -308,9 +334,8 @@ class RandomScheduler(Scheduler):
                     if clock - last[proc] >= bound:
                         last[proc] = clock
                         return proc, self.pick_action(world, proc)
-        count = len(live)
-        draw = int(self.rng.random() * count)
-        proc = live[draw if draw < count else count - 1]
+        # random() < 1 - 2**-53, so the product rounds below len(live).
+        proc = live[int(self._random() * len(live))]
         last[proc] = clock
         return proc, self.pick_action(world, proc)
 
@@ -424,7 +449,7 @@ def _corrupt_processor(state: ProcessorState, rng: random.Random) -> None:
         rng.shuffle(dests)
         keep = dests[: rng.randint(1, len(dests))]
         state.pending_broadcast = PendingBroadcast(
-            _random_pair(config, rng), sorted(keep), _random_label(config, rng, 0.0))
+            _random_pair(config, rng), sorted(keep), _random_label(config, rng, 0.0), lab.max)
     else:
         state.pending_broadcast = None
     state.restart_calls = 0
@@ -446,9 +471,10 @@ def run(world: World, scheduler: Scheduler, steps: int,
     broadcast ending in a send.  The step's events (handler notes first,
     the send or receive last) go through ``Trace.append``, which counts
     every kind; ``trace_level`` "full" keeps every event, "faults" only the
-    fault kinds, so very long runs stay cheap.  Observers see every event
-    either way.  ``world.clock`` is the current step during a step and
-    ``steps`` past its start afterwards.
+    fault kinds, so very long runs stay cheap.  Below "full" and with no
+    observers the send or receive, which would be dropped, is only counted.
+    Observers see every event either way.  ``world.clock`` is the current
+    step during a step and ``steps`` past its start afterwards.
     """
     trace = Trace(config=world.config, level=trace_level)
     plan = fault_plan or FaultPlan()
@@ -491,53 +517,73 @@ def run(world: World, scheduler: Scheduler, steps: int,
         on_start = getattr(observer, "on_start", None)
         if on_start is not None:
             on_start(world)
-    # Below "full" and unobserved, a step with shared quiet notes records
-    # only its send or receive, which the trace would count and drop.
-    quiet = QUIET_NOTES if trace.level != "full" and not observers else ()
-    procs, channels, counts, record = world.procs, world.channels, trace.counts, trace.append
+    # Below "full" and unobserved, a step records only what its notes say
+    # (nothing for the shared quiet notes) and counts its send or receive,
+    # which the trace would count and drop; quiet steps count into locals.
+    lean = trace.level != "full" and not observers
+    quiet = QUIET_NOTES if lean else ()
+    sends = receives = ignored = 0
+    procs, links, counts, record = world.procs, world.links, trace.counts, trace.append
     pick_next = scheduler.next
     start = world.clock
-    for now in range(start, start + steps):
-        world.clock = now
-        if now in fault_steps:
-            faults(now)
-        pick = pick_next(world)
-        if pick is None:
-            continue
-        proc, action = pick
-        state = procs[proc]
-        kind = action.kind
-        if kind == RECEIVE:
-            sender = action.sender
-            entry = channels[(sender, proc)].receive()
-            notes = state.on_message(entry.message, sender)
-            comm = "receive" if notes.ignored is None else "ignored"
-        else:
-            if kind == BEGIN_BROADCAST:
-                dest, message, notes = state.do_forever_begin(action.increment)
-            elif kind == CONTINUE_BROADCAST:
-                dest, message, notes = state.do_forever_continue()
+    try:
+        for now in range(start, start + steps):
+            world.clock = now
+            if now in fault_steps:
+                faults(now)
+            pick = pick_next(world)
+            if pick is None:
+                continue
+            proc, action = pick
+            state = procs[proc]
+            kind = action.kind
+            if kind == RECEIVE:
+                sender = action.sender
+                entry = links[sender][proc].receive()
+                notes = state.on_message(entry.message, sender)
+                if notes in quiet:
+                    if notes.ignored is None:
+                        receives += 1
+                    else:
+                        ignored += 1
+                    continue
+                comm = "receive" if notes.ignored is None else "ignored"
+                injected = entry.injected
             else:
-                raise ActionNotEnabled(f"unknown action {kind!r}")
-            overwrote = channels[(proc, dest)].send(message)
-            comm = "send"
-        if notes in quiet:
-            counts[comm] = counts.get(comm, 0) + 1
-            continue
-        if comm == "send":
-            injected = False
-            detail = {"to": dest, "max": message.sender_max, "pair": message.client.arriving,
-                      "overwrote": overwrote, "first": kind == BEGIN_BROADCAST}
-        else:
-            injected = entry.injected
-            detail = ({"from": sender, "merged": notes.merged, "injected": injected}
-                      if comm == "receive" else
-                      {"from": sender, "guard": notes.ignored, "injected": injected})
-        events = _step_events(now, proc, notes, TraceEvent(now, proc, comm, detail), injected)
-        for event in events:
-            record(event)
-        for observer in observers:
-            observer.on_step(world, events)
+                if kind == BEGIN_BROADCAST:
+                    dest, message, notes = state.do_forever_begin(action.increment)
+                elif kind == CONTINUE_BROADCAST:
+                    dest, message, notes = state.do_forever_continue()
+                else:
+                    raise ActionNotEnabled(f"unknown action {kind!r}")
+                overwrote = links[proc][dest].send(message)
+                if notes in quiet:
+                    sends += 1
+                    continue
+                comm = "send"
+                injected = False
+            events = _note_events(now, proc, notes, injected)
+            if lean:
+                for event in events:
+                    record(event)
+                counts[comm] = counts.get(comm, 0) + 1
+                continue
+            if comm == "send":
+                detail = {"to": dest, "max": message.sender_max, "pair": message.client.arriving,
+                          "overwrote": overwrote, "first": kind == BEGIN_BROADCAST}
+            elif comm == "receive":
+                detail = {"from": sender, "merged": notes.merged, "injected": injected}
+            else:
+                detail = {"from": sender, "guard": notes.ignored, "injected": injected}
+            events.append(TraceEvent(now, proc, comm, detail))
+            for event in events:
+                record(event)
+            for observer in observers:
+                observer.on_step(world, events)
+    finally:
+        for comm, tally in (("send", sends), ("receive", receives), ("ignored", ignored)):
+            if tally:
+                counts[comm] = counts.get(comm, 0) + tally
     world.clock = start + steps
     trace.steps = world.clock
     for observer in observers:
@@ -545,11 +591,11 @@ def run(world: World, scheduler: Scheduler, steps: int,
     return trace
 
 
-def _step_events(step: int, proc: int, notes: StepNotes, comm: TraceEvent,
+def _note_events(step: int, proc: int, notes: StepNotes,
                  injected: bool) -> List[TraceEvent]:
-    """A step's events in occurrence order: what its handler noted, then the
-    send or receive ``comm`` that ends it.  ``injected`` marks a receive of
-    a message fault injection put in the channel."""
+    """What a step's handler noted, as events in occurrence order.
+    ``injected`` marks a receive of a message fault injection put in the
+    channel."""
     events: List[TraceEvent] = []
     for _ in range(notes.increments):
         events.append(TraceEvent(step, proc, "increment", None))
@@ -560,5 +606,4 @@ def _step_events(step: int, proc: int, notes: StepNotes, comm: TraceEvent,
     for _ in range(notes.restarts):
         events.append(TraceEvent(step, proc, "restart_local",
                                  {"cause": notes.restart_cause, "injected": injected}))
-    events.append(comm)
     return events

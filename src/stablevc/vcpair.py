@@ -284,6 +284,8 @@ def _events_since(pair: VectorClockPair, pivot_label: Label,
 
 def equal_static(a: VectorClockPair, b: VectorClockPair) -> bool:
     """Pairs equal everywhere except possibly curr.m."""
+    if a is b:
+        return True
     ca, cb = a.curr_label, b.curr_label
     if not (ca is cb or (ca.creator == cb.creator and ca.ml == cb.ml)):
         return False

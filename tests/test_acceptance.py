@@ -3,7 +3,8 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict lines.
 The transient-recovery criterion simulates 100 seeds x 200k steps and spreads
 them over a process pool sized to the machine's cores; its wall-clock budget
-(60 s) holds on two cores (43-55 s measured on a 2-vCPU VM).
+(60 s) holds on two cores (54-57 s measured on a 2-vCPU VM whose speed drifts
+by about 25%).
 """
 
 import os

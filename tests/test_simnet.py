@@ -2,9 +2,11 @@
 
 import pytest
 
+from stablevc import trace as trace_module
 from stablevc.errors import ActionNotEnabled, AlreadyCrashed, NotCrashed, PreconditionViolated
 from stablevc.labeling import SystemConfig
 from stablevc.oracle import InvariantMonitor
+from stablevc.protocol import ProcessorState
 from stablevc.simnet import (
     BEGIN_BROADCAST,
     CONTINUE_BROADCAST,
@@ -19,7 +21,7 @@ from stablevc.simnet import (
     inject_transient,
     run,
 )
-from stablevc.trace import FAULT_KINDS
+from stablevc.trace import FAULT_KINDS, format_pair
 
 CFG = SystemConfig(n=3, c=1, maxint=16)
 
@@ -213,6 +215,106 @@ class TestDeterminism:
             assert monitor.checked > 0
         for kind in ("transient", "crash", "restart", "duplicate", "reorder"):
             assert full[1][kind] == 1
+
+
+class TestSharedSnapshots:
+    """Broadcast snapshots are the sender's local pair object, shared with
+    every message and then with every receiver's ``pairs``; no pair is
+    changed in place once it may be shared."""
+
+    def test_sent_and_stored_pairs_never_change(self, monkeypatch):
+        sent = {}  # id -> (pair, its text at send time); the pair pins the id
+        checked = []
+        original_send, original_receive = Channel.send, Channel.receive
+        # Labels are immutable: render each once (k = 1,064 antistings here).
+        label_text = {}
+        render_label = trace_module.format_label
+
+        def format_label(label):
+            if id(label) not in label_text:
+                label_text[id(label)] = (label, render_label(label))
+            return label_text[id(label)][1]
+
+        monkeypatch.setattr(trace_module, "format_label", format_label)
+
+        def send(channel, message, injected=False):
+            for pair in (message.client.arriving, message.client.rcvd_local):
+                if id(pair) not in sent:
+                    sent[id(pair)] = (pair, format_pair(pair))
+            return original_send(channel, message, injected)
+
+        def receive(channel):
+            entry = original_receive(channel)
+            arriving = entry.message.client.arriving
+            if id(arriving) in sent:
+                checked.append(format_pair(arriving) == sent[id(arriving)][1])
+            return entry
+
+        monkeypatch.setattr(Channel, "send", send)
+        monkeypatch.setattr(Channel, "receive", receive)
+        config = SystemConfig(n=4, c=2, maxint=64)  # C4's sizing, rate and faults
+        world = World.clean_start(config)
+        sched = RandomScheduler(7)
+        sched.configure_workload(7, {0: 0.05})
+        trace = run(world, sched, 20000, fault_plan=FaultPlan(transient_seed=7),
+                    trace_level="faults")
+        assert trace.count("increment") > 100 and trace.count("revive") > 0
+        assert len(checked) > 5000 and all(checked)
+        assert all(format_pair(pair) == text for pair, text in sent.values())
+        stored = [world.procs[i].pairs[j] for i in config.proc_ids for j in config.proc_ids
+                  if i != j and id(world.procs[i].pairs[j]) in sent]
+        assert len(stored) == config.n * (config.n - 1)
+        assert all(format_pair(pair) == sent[id(pair)][1] for pair in stored)
+
+    def test_repeated_arrival_shortcut_changes_nothing(self, monkeypatch):
+        """An arrival of a pair already merged into the unchanged local pair
+        skips its guard and merge; clearing that memory before every arrival
+        gives the same run."""
+        plan = dict(transient_seed=3, crash_at={2: 900}, restart_at={2: 1500},
+                    duplications=[(1, 2, 40), (3, 1, 2000)], reorders=[(2, 3, 77)])
+        config = SystemConfig(n=3, c=2, maxint=16)
+
+        def outcome():
+            world = World.clean_start(config)
+            sched = RandomScheduler(12)
+            sched.configure_workload(12, {0: 0.2})
+            trace = run(world, sched, 6000, fault_plan=FaultPlan(**plan))
+            return world_hash(world), [e.render() for e in trace.events]
+
+        shortcut = outcome()
+        original = ProcessorState.on_message
+
+        def forgetful(state, msg, sender):
+            state._joined = [(None, None)] * (config.n + 1)
+            return original(state, msg, sender)
+
+        monkeypatch.setattr(ProcessorState, "on_message", forgetful)
+        assert outcome() == shortcut
+
+
+class TestIncrementRates:
+    def _increments(self, sched, steps=600):
+        world = World.clean_start(CFG)
+        return run(world, sched, steps).count("increment")
+
+    def test_second_configure_workload_takes_effect(self):
+        sched = RoundRobinScheduler()
+        sched.configure_workload(1, {0: 0.0})
+        assert self._increments(sched) == 0
+        sched.configure_workload(2, {0: 1.0, 2: 0.0})
+        world = World.clean_start(CFG)
+        trace = run(world, sched, 600)
+        begins = sum(1 for e in trace.events if e.kind == "send" and e.detail["first"])
+        increments = [e.proc for e in trace.events if e.kind == "increment"]
+        assert set(increments) == {1, 3} and 0 < len(increments) < begins
+
+    def test_rates_resolve_per_processor_then_default(self):
+        sched = RoundRobinScheduler()
+        sched.configure_workload(5, {0: 1.0, 1: 0.0})
+        world = World.clean_start(CFG)
+        trace = run(world, sched, 300)
+        assert {e.proc for e in trace.events if e.kind == "increment"} == {2, 3}
+        assert self._increments(RoundRobinScheduler()) == 0  # never configured
 
 
 class TestFairness:

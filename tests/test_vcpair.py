@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stablevc.errors import NoPivot
+from stablevc.labeling import SystemConfig
 from stablevc.labels import Label, LabelComponent
+from stablevc.simnet import _random_pair
 from stablevc.vcpair import (
     PivotKind,
     VectorClockItem,
@@ -384,6 +386,35 @@ def test_vc_mod_identity(m, o):
     values = vc(z)
     assert all(0 <= value < MAXINT for value in values)
     assert values == [(a - b) % MAXINT for a, b in zip(m, o)]
+
+
+def _full_equal_static(a, b):
+    """equal_static with no identity shortcut anywhere."""
+    return (a.curr_label.creator == b.curr_label.creator and a.curr_label.ml == b.curr_label.ml
+            and a.prev_label.creator == b.prev_label.creator
+            and a.prev_label.ml == b.prev_label.ml
+            and a.mid == b.mid and a.prev_o == b.prev_o)
+
+
+# Equal-content label objects that are not the same object, and labels that
+# differ only in creator, sting or antistings.
+_LABEL_POOL = [L0, L1, L2, lab(1, 4, (3, 9)), lab(2, 4, (3, 9)), lab(1, 4, (3, 8))]
+_vec2 = st.lists(st.integers(0, MAXINT - 1), min_size=2, max_size=2)
+_pair_fields = st.tuples(st.sampled_from(_LABEL_POOL), st.sampled_from(_LABEL_POOL),
+                         _vec2, _vec2, _vec2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pair_fields, _pair_fields)
+def test_equal_static_identity_agrees_with_full_comparison(fa, fb):
+    a = VectorClockPair(fa[0], list(fa[2]), list(fa[3]), fa[1], list(fa[4]), MAXINT)
+    b = VectorClockPair(fb[0], list(fb[2]), list(fb[3]), fb[1], list(fb[4]), MAXINT)
+    assert equal_static(a, a) is _full_equal_static(a, a) is True
+    assert equal_static(a, a.copy()) is True
+    assert equal_static(a, b) == _full_equal_static(a, b)
+    # A pair as transient fault injection draws it.
+    z = _random_pair(SystemConfig(n=3, c=1, maxint=MAXINT), random.Random(fa[2][0]))
+    assert equal_static(z, z) == _full_equal_static(z, z)
 
 
 def test_canonical_pair_text_form():
