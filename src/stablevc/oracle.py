@@ -9,9 +9,10 @@ segments of a trace, and evaluate the per-state global invariants.
 
 from __future__ import annotations
 
-import bisect
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import le
 from typing import Dict, List, Optional, Tuple
 
 from .labeling import SystemConfig
@@ -104,9 +105,23 @@ class ShadowTracker:
                 # The baseline never forgets; the local pair does.  Event
                 # counting across a restart is excluded by the auditors.
                 pass
-        for event in events:
-            if event.proc:
-                self._record(event.step + 1, event.proc, world.procs[event.proc])
+            # Declared faults change the channels as Channel does.
+            elif kind == "duplicate":
+                queue = self.mirror[(event.detail["src"], event.detail["dst"])]
+                queue.append(queue[0])
+                if len(queue) > self.config.c:
+                    queue.pop(0)  # a full channel drops its head
+            elif kind == "reorder":
+                queue = self.mirror[(event.detail["src"], event.detail["dst"])]
+                queue[0], queue[1] = queue[1], queue[0]
+            elif kind == "restart":
+                for (_src, dst), queue in self.mirror.items():
+                    if dst == proc:
+                        queue.clear()  # messages sent while it was down are lost
+        # A step's events all name its processor; a fault changes no pair.
+        last = events[-1]
+        if last.proc:
+            self._record(last.step + 1, last.proc, world.procs[last.proc])
 
     def on_finish(self, world: World, trace: Trace) -> None:
         pass
@@ -146,18 +161,18 @@ class ShadowTracker:
 
     def pair_at(self, proc: int, step: int) -> Optional[VectorClockPair]:
         """The processor's local pair in state c_step (before the step runs)."""
-        idx = bisect.bisect_right(self.snap_steps[proc], step) - 1
+        idx = bisect_right(self.snap_steps[proc], step) - 1
         return self.snap_pairs[proc][idx] if idx >= 0 else None
 
     def shadow_at(self, proc: int, step: int) -> Optional[List[int]]:
-        idx = bisect.bisect_right(self.snap_steps[proc], step) - 1
+        idx = bisect_right(self.snap_steps[proc], step) - 1
         return self.snap_shadows[proc][idx] if idx >= 0 else None
 
     def increments_between(self, proc: int, lo: int, hi: int) -> int:
         """Increment events of ``proc`` between states c_lo and c_hi
         (i.e. during steps lo..hi-1)."""
         steps = self.increment_steps[proc]
-        return bisect.bisect_left(steps, hi) - bisect.bisect_left(steps, lo)
+        return bisect_left(steps, hi) - bisect_left(steps, lo)
 
     def static_changes_between(self, proc: int, lo: int, hi: int) -> int:
         """Era changes (revive or adoption or restart) of ``proc`` in (lo, hi]."""
@@ -166,8 +181,8 @@ class ShadowTracker:
         prefix = self._era_prefix[proc]
         for idx in range(len(prefix), len(pairs)):
             prefix.append(prefix[-1] + (not equal_static(pairs[idx - 1], pairs[idx])))
-        start = max(bisect.bisect_right(steps, lo) - 1, 0)
-        end = bisect.bisect_right(steps, hi) - 1
+        start = max(bisect_right(steps, lo) - 1, 0)
+        end = bisect_right(steps, hi) - 1
         return prefix[end] - prefix[start] if end > start else 0
 
 
@@ -238,9 +253,9 @@ def check_requirement1(tracker: ShadowTracker, total_steps: int,
     full = total_steps <= FULL_DENSITY_LIMIT
     violations: List[Violation] = []
     for proc, lo, hi in _sample_pairs(total_steps, tracker.config.proc_ids, rng, full):
-        restarts = restart_steps.get(proc, [])
+        restarts = restart_steps.get(proc)
         # Restart at step s mutates state c_{s+1}: exclude s in [lo, hi-1].
-        if _count_in(restarts, lo - 1, hi - 1):
+        if restarts and _count_in(restarts, lo - 1, hi - 1):
             continue
         if tracker.static_changes_between(proc, lo, hi) > 1:
             continue
@@ -267,6 +282,8 @@ def check_causal(tracker: ShadowTracker, segments: List[Tuple[int, int]],
     construction.  ``revive_steps`` must be sorted.
     """
     rng = random.Random(seed)
+    # choice(seq) draws as seq[randrange(len(seq))] does, with one call less.
+    randrange, choice = rng.randrange, rng.choice
     procs = list(tracker.config.proc_ids)
     snap_steps, snap_pairs = tracker.snap_steps, tracker.snap_pairs
     snap_shadows = tracker.snap_shadows
@@ -274,19 +291,19 @@ def check_causal(tracker: ShadowTracker, segments: List[Tuple[int, int]],
     for start, end in segments:
         if end <= start:
             continue
-        cuts = revive_steps[bisect.bisect_left(revive_steps, start):
-                            bisect.bisect_right(revive_steps, end)]
+        cuts = revive_steps[bisect_left(revive_steps, start):
+                            bisect_right(revive_steps, end)]
         windows = _split_windows(start, end, cuts)
         for _ in range(samples_per_segment):
-            lo, hi = windows[rng.randrange(len(windows))]
+            lo, hi = choice(windows)
             if hi - lo < 2:
                 continue
-            pi = procs[rng.randrange(len(procs))]
-            pj = procs[rng.randrange(len(procs))]
-            sx = lo + rng.randrange(hi - lo)
-            sy = lo + rng.randrange(hi - lo)
-            xi = bisect.bisect_right(snap_steps[pi], sx) - 1
-            yi = bisect.bisect_right(snap_steps[pj], sy) - 1
+            pi = choice(procs)
+            pj = choice(procs)
+            sx = lo + randrange(hi - lo)
+            sy = lo + randrange(hi - lo)
+            xi = bisect_right(snap_steps[pi], sx) - 1
+            yi = bisect_right(snap_steps[pj], sy) - 1
             if xi < 0 or yi < 0:
                 continue
             zi, zj = snap_pairs[pi][xi], snap_pairs[pj][yi]
@@ -317,12 +334,11 @@ def _split_windows(start: int, end: int, cuts: List[int]) -> List[Tuple[int, int
 
 
 def _shadow_hb(a: List[int], b: List[int]) -> bool:
-    le = all(x <= y for x, y in zip(a, b))
-    return le and any(x < y for x, y in zip(a, b))
+    return a != b and all(map(le, a, b))
 
 
 def _count_in(sorted_steps: List[int], lo: int, hi: int) -> int:
-    return bisect.bisect_right(sorted_steps, hi) - bisect.bisect_right(sorted_steps, lo)
+    return bisect_right(sorted_steps, hi) - bisect_right(sorted_steps, lo)
 
 
 # -- legal segments and statistics ---------------------------------------------------

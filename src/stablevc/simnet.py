@@ -473,8 +473,10 @@ def run(world: World, scheduler: Scheduler, steps: int,
     every kind; ``trace_level`` "full" keeps every event, "faults" only the
     fault kinds, so very long runs stay cheap.  Below "full" and with no
     observers the send or receive, which would be dropped, is only counted.
-    Observers see every event either way.  ``world.clock`` is the current
-    step during a step and ``steps`` past its start afterwards.
+    Observers see every event either way: ``on_step`` gets each step's
+    events, and the faults applied before its pick as a list of their own
+    (the transient injection comes before ``on_start``).  ``world.clock``
+    is the current step during a step and ``steps`` past its start afterwards.
     """
     trace = Trace(config=world.config, level=trace_level)
     plan = fault_plan or FaultPlan()
@@ -493,24 +495,30 @@ def run(world: World, scheduler: Scheduler, steps: int,
                    | set(dup_at) | set(reorder_at))
 
     def faults(now: int) -> None:
+        events: List[TraceEvent] = []
         for proc, at in sorted(plan.crash_at.items()):
             if at == now and proc not in world.crashed:
                 world.crash(proc)
-                trace.append(TraceEvent(now, proc, "crash", None))
+                events.append(TraceEvent(now, proc, "crash", None))
         for proc, at in sorted(plan.restart_at.items()):
             if at == now and proc in world.crashed:
                 world.restart_undetectable(proc)
-                trace.append(TraceEvent(now, proc, "restart", None))
+                events.append(TraceEvent(now, proc, "restart", None))
         for src, dst in dup_at.get(now, ()):
             channel = world.channels[(src, dst)]
             if channel.queue:
                 channel.send(channel.queue[0].message)
-                trace.append(TraceEvent(now, 0, "duplicate", {"src": src, "dst": dst}))
+                events.append(TraceEvent(now, 0, "duplicate", {"src": src, "dst": dst}))
         for src, dst in reorder_at.get(now, ()):
             channel = world.channels[(src, dst)]
             if len(channel.queue) >= 2:
                 channel.queue[0], channel.queue[1] = channel.queue[1], channel.queue[0]
-                trace.append(TraceEvent(now, 0, "reorder", {"src": src, "dst": dst}))
+                events.append(TraceEvent(now, 0, "reorder", {"src": src, "dst": dst}))
+        for event in events:
+            trace.append(event)
+        if events:
+            for observer in observers:
+                observer.on_step(world, events)
 
     observers = list(observers)
     for observer in observers:

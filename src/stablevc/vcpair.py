@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import le
 from typing import List, Optional
 
 from .errors import NoPivot
@@ -112,13 +113,13 @@ class PivotKind(Enum):
     LOC_PREV_IS_ARR_CURR = "loc_prev_is_arr_curr"  # this pair wrapped
 
 
-@dataclass
+@dataclass(slots=True)
 class Pivot:
     """A common (label, offset) reference item between two pairs."""
 
     kind: PivotKind
     label: Label
-    vector: List[int]  # the matched item's offset (equal on both sides)
+    vector: List[int]  # the matched item's offset list in the first pair
 
 
 # -- vector clock value and conditions ------------------------------------------
@@ -174,17 +175,18 @@ def exists_overlap(loc: VectorClockPair, arr: VectorClockPair) -> Optional[Pivot
 
     The current item of a well-formed pair never precedes its previous item,
     so a match involving a ``curr`` side is preferred over the prev-prev match.
+    The pivot holds ``loc``'s own offset list: no pair rewrites its offsets.
     """
-    curr_curr = eq_m(loc.curr_label, arr.curr_label) and loc.mid == arr.mid
-    prev_prev = eq_m(loc.prev_label, arr.prev_label) and loc.prev_o == arr.prev_o
-    if curr_curr and prev_prev:
-        return Pivot(PivotKind.BOTH_MATCH, loc.curr_label, list(loc.mid))
-    if eq_m(loc.curr_label, arr.prev_label) and loc.mid == arr.prev_o:
-        return Pivot(PivotKind.LOC_CURR_IS_ARR_PREV, loc.curr_label, list(loc.mid))
-    if eq_m(loc.prev_label, arr.curr_label) and loc.prev_o == arr.mid:
-        return Pivot(PivotKind.LOC_PREV_IS_ARR_CURR, loc.prev_label, list(loc.prev_o))
+    mid, prev_o = loc.mid, loc.prev_o
+    prev_prev = prev_o == arr.prev_o and eq_m(loc.prev_label, arr.prev_label)
+    if prev_prev and mid == arr.mid and eq_m(loc.curr_label, arr.curr_label):
+        return Pivot(PivotKind.BOTH_MATCH, loc.curr_label, mid)
+    if mid == arr.prev_o and eq_m(loc.curr_label, arr.prev_label):
+        return Pivot(PivotKind.LOC_CURR_IS_ARR_PREV, loc.curr_label, mid)
+    if prev_o == arr.mid and eq_m(loc.prev_label, arr.curr_label):
+        return Pivot(PivotKind.LOC_PREV_IS_ARR_CURR, loc.prev_label, prev_o)
     if prev_prev:
-        return Pivot(PivotKind.PREV_PREV, loc.prev_label, list(loc.prev_o))
+        return Pivot(PivotKind.PREV_PREV, loc.prev_label, prev_o)
     return None
 
 
@@ -268,14 +270,12 @@ def merge_equal_static(loc: VectorClockPair, arr: VectorClockPair) -> VectorCloc
 
 def _events_since(pair: VectorClockPair, pivot_label: Label,
                   pivot_vec: List[int]) -> List[int]:
-    maxint = pair.maxint
-    if eq_m(pivot_label, pair.curr_label) and pivot_vec == pair.mid:
-        return [(a - b) % maxint for a, b in zip(pair.curr_m, pair.mid)]
-    if eq_m(pivot_label, pair.prev_label) and pivot_vec == pair.prev_o:
-        return [
-            (a - b) % maxint + (b - c) % maxint
-            for a, b, c in zip(pair.curr_m, pair.mid, pair.prev_o)
-        ]
+    maxint, mid, prev_o = pair.maxint, pair.mid, pair.prev_o
+    if (pivot_vec is mid or pivot_vec == mid) and eq_m(pivot_label, pair.curr_label):
+        return [(a - b) % maxint for a, b in zip(pair.curr_m, mid)]
+    if (pivot_vec is prev_o or pivot_vec == prev_o) and eq_m(pivot_label, pair.prev_label):
+        return [(a - b) % maxint + (b - c) % maxint
+                for a, b, c in zip(pair.curr_m, mid, prev_o)]
     raise NoPivot("pivot matches neither curr nor prev of the pair")
 
 
@@ -342,17 +342,19 @@ def event_count_query(zx: VectorClockPair, zy: VectorClockPair,
     A concurrent wrap (the snapshots share only their previous item, e.g.
     after adopting a peer's wrap of the same era): difference of both sides'
     counts since the shared reference.  Otherwise the snapshots share no
-    reference and the answer is unknowable.
+    reference and the answer is unknowable.  A count since a pair's previous
+    item is its vc plus the previous era's events (zero if its items match).
     """
     i = proc - 1
+    x_vc = (zx.curr_m[i] - zx.mid[i]) % zx.maxint
     if equal_static(zx, zy):
-        return (vc(zy)[i] - vc(zx)[i]) % zx.maxint
-    if eq_lo(zx.curr, zy.prev):
-        pivot = Pivot(PivotKind.LOC_CURR_IS_ARR_PREV, zy.prev.label, list(zy.prev.o))
-        return new_events(zy, pivot)[i] - vc(zx)[i]
-    if eq_lo(zx.prev, zy.prev):
-        pivot = Pivot(PivotKind.PREV_PREV, zy.prev.label, list(zy.prev.o))
-        return new_events(zy, pivot)[i] - new_events(zx, pivot)[i]
+        return ((zy.curr_m[i] - zy.mid[i]) % zy.maxint - x_vc) % zx.maxint
+    y_prev_o, maxint = zy.prev_o, zy.maxint
+    if zx.mid == y_prev_o and eq_m(zx.curr_label, zy.prev_label):
+        return (zy.curr_m[i] - zy.mid[i]) % maxint + (zy.mid[i] - y_prev_o[i]) % maxint - x_vc
+    if zx.prev_o == y_prev_o and eq_m(zx.prev_label, zy.prev_label):
+        return ((zy.curr_m[i] - zy.mid[i]) % maxint + (zy.mid[i] - y_prev_o[i]) % maxint
+                - x_vc - (zx.mid[i] - zx.prev_o[i]) % zx.maxint)
     return None
 
 
@@ -362,14 +364,8 @@ def causal_precedence(z: VectorClockPair, zp: VectorClockPair,
     (``pivot``: ``exists_overlap`` of the pairs, if the caller has it)."""
     if pivot is None:
         pivot = exists_overlap(z, zp)
-    if pivot is None:
-        return False
-    left = new_events(z, pivot)
-    right = new_events(zp, pivot)
-    strict = False
-    for a, b in zip(left, right):
-        if a > b:
+        if pivot is None:
             return False
-        if a < b:
-            strict = True
-    return strict
+    left = _events_since(z, pivot.label, pivot.vector)
+    right = _events_since(zp, pivot.label, pivot.vector)
+    return left != right and all(map(le, left, right))

@@ -27,6 +27,7 @@ from stablevc.simnet import (
     Action,
     BEGIN_BROADCAST,
     FaultPlan,
+    RandomScheduler,
     RoundRobinScheduler,
     ScriptedScheduler,
     World,
@@ -42,11 +43,16 @@ from stablevc.vcpair import (
 )
 
 CFG = SystemConfig(n=3, c=1, maxint=16)
+CFG_C2 = SystemConfig(n=3, c=2, maxint=16)
+# scenarios/regress/duplicate_shadow.scenario's plan: the 3>1 duplicate at
+# step 900 finds a full channel.
+DUPLICATES = FaultPlan(duplications=[(1, 2, 10), (2, 3, 500), (3, 1, 900), (1, 3, 1500)])
 
 
-def clean_run(steps=3000, rate=0.4, seed=5, cfg=CFG, fault_plan=None):
+def clean_run(steps=3000, rate=0.4, seed=5, cfg=CFG, fault_plan=None,
+              scheduler="round_robin"):
     world = World.clean_start(cfg)
-    sched = RoundRobinScheduler()
+    sched = RoundRobinScheduler() if scheduler == "round_robin" else RandomScheduler(seed)
     sched.configure_workload(seed, {0: rate})
     tracker = ShadowTracker(cfg)
     monitor = InvariantMonitor()
@@ -86,6 +92,59 @@ class TestShadowEquivalence:
         _world, _trace, _tracker, monitor = clean_run(steps=1000)
         assert monitor.checked > 0
         assert monitor.violations == []
+
+
+class _MirrorCheck:
+    """After every observed call: each mirrored channel holds as many
+    entries as the channel, and (with ``exact``) each entry's shadow is the
+    in-flight pair's counters unreduced."""
+
+    def __init__(self, tracker, exact):
+        self.tracker, self.exact, self.calls = tracker, exact, 0
+
+    def on_step(self, world, events):
+        self.calls += 1
+        maxint = world.config.maxint
+        for key, channel in world.channels.items():
+            mirrored = self.tracker.mirror[key]
+            assert len(mirrored) == len(channel.queue), (events[-1], key)
+            if self.exact:
+                for entry, shadow in zip(channel.queue, mirrored):
+                    assert entry.message.client.arriving.curr_m == [v % maxint for v in shadow]
+
+    def on_finish(self, world, trace):
+        pass
+
+
+def _checked_run(plan, exact):
+    world = World.clean_start(CFG_C2)
+    sched = RandomScheduler(3)
+    sched.configure_workload(3, {0: 0.5})
+    tracker = ShadowTracker(CFG_C2)
+    check = _MirrorCheck(tracker, exact)
+    trace = run(world, sched, 2000, fault_plan=plan, observers=[tracker, check])
+    return trace, check
+
+
+class TestFaultMirror:
+    """The shadow follows duplicates, reorders and undetectable restarts."""
+
+    @pytest.mark.parametrize("plan", [
+        DUPLICATES,
+        # The 2>1 duplicate at step 5 finds a full channel, which drops its head.
+        FaultPlan(duplications=[(2, 1, 5), (1, 2, 10), (3, 1, 900)],
+                  reorders=[(2, 1, 57), (1, 2, 94), (2, 3, 168), (3, 2, 205)]),
+    ])
+    def test_channel_faults_keep_mirror_exact(self, plan):
+        trace, check = _checked_run(plan, exact=True)
+        assert trace.count("duplicate") >= 3
+        assert trace.count("reorder") == len(plan.reorders)
+        assert check.calls > 0
+
+    def test_restart_clears_mirrored_inbound_queues(self):
+        plan = FaultPlan(crash_at={2: 300}, restart_at={2: 700})
+        trace, check = _checked_run(plan, exact=False)
+        assert trace.count("restart") == 1 and check.calls > 0
 
 
 def _trace_with(steps, events):
@@ -274,6 +333,9 @@ AUDITED_RUNS = {
     "wraparound": dict(steps=3000, rate=1.0, seed=9),
     "crash_restart": dict(steps=3000, rate=0.5, seed=7,
                           fault_plan=FaultPlan(crash_at={2: 700}, restart_at={2: 1100})),
+    "random": dict(steps=3000, rate=0.6, seed=13, scheduler="random"),
+    "duplicate": dict(steps=4000, rate=0.5, seed=3, cfg=CFG_C2, fault_plan=DUPLICATES,
+                      scheduler="random"),
 }
 
 

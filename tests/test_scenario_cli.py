@@ -211,6 +211,11 @@ class TestBundledScenarios:
             scenario = load_scenario(os.path.join(self.BUNDLE, name))
             assert isinstance(scenario, Scenario)
 
+    @pytest.mark.parametrize("name", sorted(os.listdir(os.path.join(BUNDLE, "regress"))))
+    def test_regression_scenarios_pass_every_check(self, name, tmp_path):
+        path = os.path.join(self.BUNDLE, "regress", name)
+        assert main(["run", path, "--out", str(tmp_path)]) == EXIT_OK
+
 
 def test_env_var_default_out_dir(tmp_path, monkeypatch):
     scenario = tmp_path / "env.scenario"

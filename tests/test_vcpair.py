@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from stablevc.errors import NoPivot
 from stablevc.labeling import SystemConfig
-from stablevc.labels import Label, LabelComponent
+from stablevc.labels import Label, LabelComponent, eq_m, precedes_lb
 from stablevc.simnet import _random_pair
 from stablevc.vcpair import (
+    Pivot,
     PivotKind,
     VectorClockItem,
     VectorClockPair,
@@ -22,6 +23,7 @@ from stablevc.vcpair import (
     exhausted,
     exists_overlap,
     labels_ordered,
+    le_lo,
     legit_pairs,
     lt_lo,
     merge,
@@ -178,7 +180,6 @@ class TestNewEvents:
 
     def test_no_pivot_match_raises(self):
         z = pair(L1, [1, 1], [0, 0])
-        from stablevc.vcpair import Pivot
         with pytest.raises(NoPivot):
             new_events(z, Pivot(PivotKind.BOTH_MATCH, L2, [3, 3]))
 
@@ -423,3 +424,181 @@ def test_canonical_pair_text_form():
                         [0, 0], MAXINT)
     text = format_pair(z)
     assert text == "⟨2:4:{1,3}|5,2|1,1 ∥ 1:3:{1,2}|1,1|0,0⟩"
+
+
+# -- the queries against verbatim copies of their earlier versions ---------------
+#
+# The ref_* functions below are the implementations the copy-free pivots and
+# the allocation-free counting query replaced, kept unchanged as the oracle.
+
+
+def ref_exists_overlap(loc, arr):
+    curr_curr = eq_m(loc.curr_label, arr.curr_label) and loc.mid == arr.mid
+    prev_prev = eq_m(loc.prev_label, arr.prev_label) and loc.prev_o == arr.prev_o
+    if curr_curr and prev_prev:
+        return Pivot(PivotKind.BOTH_MATCH, loc.curr_label, list(loc.mid))
+    if eq_m(loc.curr_label, arr.prev_label) and loc.mid == arr.prev_o:
+        return Pivot(PivotKind.LOC_CURR_IS_ARR_PREV, loc.curr_label, list(loc.mid))
+    if eq_m(loc.prev_label, arr.curr_label) and loc.prev_o == arr.mid:
+        return Pivot(PivotKind.LOC_PREV_IS_ARR_CURR, loc.prev_label, list(loc.prev_o))
+    if prev_prev:
+        return Pivot(PivotKind.PREV_PREV, loc.prev_label, list(loc.prev_o))
+    return None
+
+
+def ref_events_since(pair, pivot_label, pivot_vec):
+    maxint = pair.maxint
+    if eq_m(pivot_label, pair.curr_label) and pivot_vec == pair.mid:
+        return [(a - b) % maxint for a, b in zip(pair.curr_m, pair.mid)]
+    if eq_m(pivot_label, pair.prev_label) and pivot_vec == pair.prev_o:
+        return [
+            (a - b) % maxint + (b - c) % maxint
+            for a, b, c in zip(pair.curr_m, pair.mid, pair.prev_o)
+        ]
+    raise NoPivot("pivot matches neither curr nor prev of the pair")
+
+
+def ref_new_events(pair, pivot):
+    return ref_events_since(pair, pivot.label, pivot.vector)
+
+
+def ref_merge(loc, arr, pivot=None):
+    if pivot is not None:
+        pivot_label, pivot_vec = pivot.label, pivot.vector
+    elif eq_m(loc.curr_label, arr.curr_label) and loc.mid == arr.mid:
+        pivot_label, pivot_vec = loc.curr_label, loc.mid
+    elif eq_m(loc.curr_label, arr.prev_label) and loc.mid == arr.prev_o:
+        pivot_label, pivot_vec = loc.curr_label, loc.mid
+    elif eq_m(loc.prev_label, arr.curr_label) and loc.prev_o == arr.mid:
+        pivot_label, pivot_vec = loc.prev_label, loc.prev_o
+    elif eq_m(loc.prev_label, arr.prev_label) and loc.prev_o == arr.prev_o:
+        pivot_label, pivot_vec = loc.prev_label, loc.prev_o
+    else:
+        raise NoPivot("pairs share no common item")
+
+    if eq_m(arr.curr_label, loc.curr_label):
+        if arr.mid == loc.mid:
+            init_to_loc = le_lo(arr.prev, loc.prev)
+        else:
+            init_to_loc = arr.mid < loc.mid
+    else:
+        init_to_loc = precedes_lb(arr.curr_label, loc.curr_label)
+    output = loc.copy() if init_to_loc else arr.copy()
+
+    loc_events = ref_events_since(loc, pivot_label, pivot_vec)
+    arr_events = ref_events_since(arr, pivot_label, pivot_vec)
+    maxint = output.maxint
+    curr_m = output.curr_m
+    for k in range(len(curr_m)):
+        gain = loc_events[k] if loc_events[k] >= arr_events[k] else arr_events[k]
+        curr_m[k] = (pivot_vec[k] + gain) % maxint
+    mid = output.mid
+    output._vcsum = sum((curr_m[k] - mid[k]) % maxint for k in range(len(curr_m)))
+    return output
+
+
+def ref_event_count_query(zx, zy, proc):
+    i = proc - 1
+    if equal_static(zx, zy):
+        return (vc(zy)[i] - vc(zx)[i]) % zx.maxint
+    if eq_lo(zx.curr, zy.prev):
+        pivot = Pivot(PivotKind.LOC_CURR_IS_ARR_PREV, zy.prev.label, list(zy.prev.o))
+        return ref_new_events(zy, pivot)[i] - vc(zx)[i]
+    if eq_lo(zx.prev, zy.prev):
+        pivot = Pivot(PivotKind.PREV_PREV, zy.prev.label, list(zy.prev.o))
+        return ref_new_events(zy, pivot)[i] - ref_new_events(zx, pivot)[i]
+    return None
+
+
+def ref_causal_precedence(z, zp, pivot=None):
+    if pivot is None:
+        pivot = ref_exists_overlap(z, zp)
+    if pivot is None:
+        return False
+    left = ref_new_events(z, pivot)
+    right = ref_new_events(zp, pivot)
+    strict = False
+    for a, b in zip(left, right):
+        if a > b:
+            return False
+        if a < b:
+            strict = True
+    return strict
+
+
+_Q_MAXINT = 4
+_vec3 = st.lists(st.integers(0, _Q_MAXINT - 1), min_size=3, max_size=3)
+_labels = st.sampled_from(_LABEL_POOL)
+
+
+@st.composite
+def _related_pairs(draw):
+    """Two pairs that share an item in each way the queries distinguish, or
+    none; either pair may have its current item equal to its previous one."""
+
+    def drawn():
+        curr_label = draw(_labels)
+        prev_label = curr_label if draw(st.booleans()) else draw(_labels)
+        mid = draw(_vec3)
+        prev_o = list(mid) if draw(st.booleans()) else draw(_vec3)
+        return VectorClockPair(curr_label, draw(_vec3), mid, prev_label, prev_o, _Q_MAXINT)
+
+    a = drawn()
+    how = draw(st.sampled_from(["unrelated", "same_static", "wrapped", "unwrapped",
+                                "shared_prev", "copy", "same_object"]))
+    if how == "unrelated":
+        b = drawn()
+    elif how == "same_static":
+        b = VectorClockPair(a.curr_label, draw(_vec3), list(a.mid), a.prev_label,
+                            list(a.prev_o), _Q_MAXINT)
+    elif how == "wrapped":  # b's previous item is a's current one
+        b = VectorClockPair(draw(_labels), draw(_vec3), draw(_vec3), a.curr_label,
+                            list(a.mid), _Q_MAXINT)
+    elif how == "unwrapped":  # b's current item is a's previous one
+        b = VectorClockPair(a.prev_label, draw(_vec3), list(a.prev_o), draw(_labels),
+                            draw(_vec3), _Q_MAXINT)
+    elif how == "shared_prev":
+        b = VectorClockPair(draw(_labels), draw(_vec3), draw(_vec3), a.prev_label,
+                            list(a.prev_o), _Q_MAXINT)
+    elif how == "copy":
+        b = a.copy()
+    else:
+        b = a
+    return (b, a) if draw(st.booleans()) else (a, b)
+
+
+def _fields(pair):
+    return (pair.curr_label, list(pair.curr_m), list(pair.mid), pair.prev_label,
+            list(pair.prev_o), pair.maxint, pair._vcsum)
+
+
+def _same_pivot(got, want):
+    if want is None:
+        return got is None
+    return (got is not None and got.kind is want.kind and got.label is want.label
+            and got.vector == want.vector)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_related_pairs())
+def test_queries_match_their_earlier_versions(pairs):
+    a, b = pairs
+    before = (_fields(a), _fields(b))
+    piv = exists_overlap(a, b)
+    assert _same_pivot(piv, ref_exists_overlap(a, b))
+    if piv is not None:
+        assert piv.vector is a.mid or piv.vector is a.prev_o  # a's own list
+    assert causal_precedence(a, b) == ref_causal_precedence(a, b)
+    for proc in (1, 2, 3):
+        assert event_count_query(a, b, proc) == ref_event_count_query(a, b, proc)
+    # Pivots found from either side name an item both pairs hold.
+    for found, ref_found in ((piv, ref_exists_overlap(a, b)),
+                             (exists_overlap(b, a), ref_exists_overlap(b, a))):
+        if found is None:
+            continue
+        assert causal_precedence(a, b, found) == ref_causal_precedence(a, b, ref_found)
+        assert new_events(a, found) == ref_new_events(a, ref_found)
+        out = merge(a, b, found)
+        assert _fields(out) == _fields(ref_merge(a, b, ref_found))
+        assert out.alias_ok() and out is not a and out is not b
+    assert (_fields(a), _fields(b)) == before  # no query writes an input
