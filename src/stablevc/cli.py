@@ -41,7 +41,7 @@ def execute_scenario(scenario: Scenario):
     tracker: Optional[ShadowTracker] = None
     monitor: Optional[InvariantMonitor] = None
     wants_shadow = ("req1" in scenario.checks or "causal" in scenario.checks) \
-        and scenario.transient_seed is None
+        and scenario.faults.transient_seed is None
     if wants_shadow:
         tracker = ShadowTracker(scenario.system_config())
         observers.append(tracker)
@@ -49,7 +49,7 @@ def execute_scenario(scenario: Scenario):
         monitor = InvariantMonitor()
         observers.append(monitor)
     trace = sim_run(world, scheduler, scenario.steps,
-                    fault_plan=scenario.fault_plan(), observers=observers)
+                    fault_plan=scenario.faults, observers=observers)
 
     failures: List[str] = []
     summary = stats(trace)
@@ -134,7 +134,7 @@ def cmd_replay(trace_path: str) -> int:
         scenario = parse_scenario(scenario_text, origin=trace_path)
         world = scenario.build_world()
         trace = sim_run(world, scenario.build_scheduler(), scenario.steps,
-                        fault_plan=scenario.fault_plan())
+                        fault_plan=scenario.faults)
     except (ScenarioError, StableVCError) as exc:
         print(f"replay: error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -10,7 +10,7 @@ cheap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count
 from typing import Dict, List, Optional
 
@@ -97,7 +97,7 @@ class LabelingState:
     """
 
     __slots__ = ("self_id", "cfg", "label_cfg", "capacity", "max", "stored",
-                 "_ready", "_dirty", "_mint_cache", "created_count", "created_log",
+                 "ready", "_dirty", "_mint_cache", "created_log",
                  "stamp")
 
     def __init__(self, self_id: int, cfg: SystemConfig):
@@ -107,13 +107,12 @@ class LabelingState:
         self.capacity = cfg.label_capacity
         self.max: List[Optional[Label]] = [None] * (cfg.n + 1)  # 1-indexed
         self.stored: List[List[Label]] = [[] for _ in range(cfg.n + 1)]
-        self._ready = False
+        self.ready = False  # set by the first bookkeeping pass
         self._dirty = True
         # Per-creator (stings, blocked) unions over the queue's components,
         # kept incrementally so fresh-label creation avoids re-unioning
         # hundreds of k-element antistings sets.  None means stale.
         self._mint_cache: List[Optional[tuple]] = [None] * (cfg.n + 1)
-        self.created_count = 0
         self.created_log: List[Label] = []
         self.stamp = next(_stamps)
 
@@ -143,16 +142,12 @@ class LabelingState:
         return entry is not None and entry.cl is not None
 
     def get_label(self) -> Label:
-        if not self._ready:
+        if not self.ready:
             raise NotReady("label_bookkeeping has not run yet")
         current = self.max[self.self_id]
         if current is None:  # unreachable after bookkeeping; defensive
             raise NotReady("no maximal label available")
         return current
-
-    @property
-    def ready(self) -> bool:
-        return self._ready
 
     # -- storage primitives ---------------------------------------------------
 
@@ -225,7 +220,7 @@ class LabelingState:
 
     def label_bookkeeping(self) -> None:
         """Invariant check and repair; creates a fresh maximal label if needed."""
-        if not self._dirty and self._ready:
+        if not self._dirty and self.ready:
             return
         self._wipe_if_stale()
         # Fold the heard-labels vector into storage so max[self] is always stored.
@@ -235,7 +230,7 @@ class LabelingState:
                 self.max[j] = self._enqueue(heard)
         self._cross_cancel()
         self._select_max()
-        self._ready = True
+        self.ready = True
         self._dirty = False
         self.stamp = next(_stamps)
 
@@ -260,7 +255,7 @@ class LabelingState:
         sender_max = msg.sender_max
         unmoved = None
         if len(extra_labels) == 2 and extra_labels[0] is sender_max \
-                and not self._dirty and self._ready:
+                and not self._dirty and self.ready:
             second = extra_labels[1]
             creator = sender_max.creator
             try:
@@ -287,7 +282,7 @@ class LabelingState:
             mine = self.max[self.self_id]
             if mine is not None and eq_m(echo, mine):
                 self._cancel_stored(mine, echo.cl)
-        if self._dirty or not self._ready:
+        if self._dirty or not self.ready:
             self.label_bookkeeping()
 
     def legit_msg(self, msg: ServerMessage, label: Label) -> bool:
@@ -370,7 +365,6 @@ class LabelingState:
         """Create, log, and store a label above every stored label of ``creator``."""
         stings, blocked = self._mint_sets(creator)
         fresh = Label(creator, next_b_from_sets(stings, blocked, self.label_cfg))
-        self.created_count += 1
         self.created_log.append(fresh)
         return self._enqueue(fresh)
 
@@ -393,7 +387,6 @@ class LabelingState:
                 and 1 <= curr_label.creator <= self.cfg.n:
             fresh = Label(curr_label.creator,
                           successor_component(curr_label.ml, self.label_cfg))
-            self.created_count += 1
             self.created_log.append(fresh)
             self._enqueue(fresh)
             self._dirty = True

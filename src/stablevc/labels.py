@@ -113,10 +113,6 @@ class Label:
         mark = f"!{self.cl.sting}" if self.cl is not None else ""
         return f"Label({self.creator}:{self.ml.sting}{mark})"
 
-    @property
-    def canceled(self) -> bool:
-        return self.cl is not None
-
     def with_cancel(self, cl: LabelComponent) -> "Label":
         return Label(self.creator, self.ml, cl)
 

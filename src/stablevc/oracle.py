@@ -27,7 +27,6 @@ from .vcpair import (
     exists_overlap,
     legit_pairs,
     pair_invar,
-    vc,
 )
 
 FULL_DENSITY_LIMIT = 100_000  # runs at most this long are checked exhaustively
@@ -52,6 +51,8 @@ class ShadowTracker:
     so any past state can be queried by bisection.  A per-processor prefix
     count of era changes (consecutive snapshots with unequal static parts),
     extended on query, makes era changes between two states two bisects.
+    A ``restart_local`` changes no shadow: the baseline never forgets, the
+    local pair does, and the auditors exclude counting across a restart.
     """
 
     def __init__(self, config: SystemConfig):
@@ -101,10 +102,6 @@ class ShadowTracker:
                 msg_shadow = queue.pop(0) if queue else None
                 if kind == "receive" and event.detail.get("merged"):
                     self._join(world, event, proc, msg_shadow)
-            elif kind == "restart_local":
-                # The baseline never forgets; the local pair does.  Event
-                # counting across a restart is excluded by the auditors.
-                pass
             # Declared faults change the channels as Channel does.
             elif kind == "duplicate":
                 queue = self.mirror[(event.detail["src"], event.detail["dst"])]
@@ -122,9 +119,6 @@ class ShadowTracker:
         last = events[-1]
         if last.proc:
             self._record(last.step + 1, last.proc, world.procs[last.proc])
-
-    def on_finish(self, world: World, trace: Trace) -> None:
-        pass
 
     # -- internals ----------------------------------------------------------------
 
@@ -177,13 +171,18 @@ class ShadowTracker:
     def static_changes_between(self, proc: int, lo: int, hi: int) -> int:
         """Era changes (revive or adoption or restart) of ``proc`` in (lo, hi]."""
         steps = self.snap_steps[proc]
+        prefix = self.era_prefix(proc)
+        start = max(bisect_right(steps, lo) - 1, 0)
+        end = bisect_right(steps, hi) - 1
+        return prefix[end] - prefix[start] if end > start else 0
+
+    def era_prefix(self, proc: int) -> List[int]:
+        """Era changes among ``proc``'s snapshots 0..idx, for every idx."""
         pairs = self.snap_pairs[proc]
         prefix = self._era_prefix[proc]
         for idx in range(len(prefix), len(pairs)):
             prefix.append(prefix[-1] + (not equal_static(pairs[idx - 1], pairs[idx])))
-        start = max(bisect_right(steps, lo) - 1, 0)
-        end = bisect_right(steps, hi) - 1
-        return prefix[end] - prefix[start] if end > start else 0
+        return prefix
 
 
 class InvariantMonitor:
@@ -199,8 +198,6 @@ class InvariantMonitor:
         self.violations: List[Violation] = []
 
     def on_step(self, world: World, events: List[TraceEvent]) -> None:
-        if not events:
-            return
         comm = events[-1]
         if comm.kind not in ("send", "receive"):
             return
@@ -214,9 +211,6 @@ class InvariantMonitor:
         if not state.local_invariants():
             self.violations.append(Violation(
                 "local_invariants", comm.step, comm.proc, f"after {comm.kind}"))
-
-    def on_finish(self, world: World, trace: Trace) -> None:
-        pass
 
 
 # -- post-hoc checks ------------------------------------------------------------------
@@ -257,12 +251,13 @@ def check_requirement1(tracker: ShadowTracker, total_steps: int,
         # Restart at step s mutates state c_{s+1}: exclude s in [lo, hi-1].
         if restarts and _count_in(restarts, lo - 1, hi - 1):
             continue
-        if tracker.static_changes_between(proc, lo, hi) > 1:
+        # The snapshots holding states c_lo and c_hi (none before the first).
+        steps, era = tracker.snap_steps[proc], tracker.era_prefix(proc)
+        xi = bisect_right(steps, lo) - 1
+        yi = bisect_right(steps, hi) - 1
+        if xi < 0 or era[yi] - era[xi] > 1:
             continue
-        zx = tracker.pair_at(proc, lo)
-        zy = tracker.pair_at(proc, hi)
-        if zx is None or zy is None:
-            continue
+        zx, zy = tracker.snap_pairs[proc][xi], tracker.snap_pairs[proc][yi]
         expected = tracker.increments_between(proc, lo, hi)
         got = event_count_query(zx, zy, proc)
         if got is None or got != expected:

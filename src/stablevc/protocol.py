@@ -107,7 +107,7 @@ class ProcessorState:
     """All per-processor state: the pair vector, labeling layer, broadcast buffer."""
 
     __slots__ = ("id", "cfg", "peers", "labeling", "pairs", "pending_broadcast",
-                 "restart_calls", "revive_calls", "increments", "_vouched", "_joined")
+                 "_vouched", "_joined")
 
     def __init__(self, proc_id: int, cfg: SystemConfig):
         self.id = proc_id
@@ -116,9 +116,6 @@ class ProcessorState:
         self.labeling = LabelingState(proc_id, cfg)
         self.pairs: List[Optional[VectorClockPair]] = [None] * (cfg.n + 1)
         self.pending_broadcast: Optional[PendingBroadcast] = None
-        self.restart_calls = 0
-        self.revive_calls = 0
-        self.increments = 0
         # (curr label, prev label, labeling stamp) of the last local pair the
         # broadcast loop found valid: the check depends on nothing else.
         self._vouched: Tuple = (None, None, None)
@@ -154,7 +151,6 @@ class ProcessorState:
     def restart_local(self, notes: StepNotes, cause: str) -> None:
         """Reset the local pair to zeros under the current maximal label."""
         self.local = VectorClockPair.fresh(self.labeling.get_label(), self.cfg.n, self.cfg.maxint)
-        self.restart_calls += 1
         notes.restarts += 1
         notes.restart_cause = cause
 
@@ -165,7 +161,6 @@ class ProcessorState:
             self.labeling.cancel(pair.prev_label, pair.prev_label)
         self.labeling.ensure_dominating(pair.curr_label)
         notes.new_labels.extend(self.labeling.drain_created())
-        self.revive_calls += 1
         notes.revives += 1
         fresh_m = list(pair.curr_m)
         return VectorClockPair(
@@ -179,7 +174,6 @@ class ProcessorState:
         exhaustion."""
         local = self.pairs[self.id].copy()
         local.bump(self.id - 1)
-        self.increments += 1
         notes.increments += 1
         if exhausted(local):
             local = self.revive(local, notes)
@@ -287,7 +281,7 @@ class ProcessorState:
                 return _ignored(notes, "pair_invar")
             if equal_static(local, arriving):
                 # legit_pairs holds without asking: pair_invar(arriving) orders
-                # the two shared labels, and both items match (BOTH_MATCH).
+                # the two shared labels, and both items match.
                 if local.curr_m != arriving.curr_m:
                     local = merge_equal_static(local, arriving)
             else:

@@ -15,6 +15,11 @@ from .labeling import SystemConfig
 from .simnet import FaultPlan, RandomScheduler, RoundRobinScheduler, Scheduler, World
 
 DEFAULT_CHECKS = ("req1", "causal", "segments", "global_inv", "local_inv")
+# Keys a file may give, once each; ``increment_rate.<p>`` is also a plain key.
+PLAIN_KEYS = frozenset({"n", "c", "maxint", "steps", "seed", "scheduler",
+                        "increment_rate", "k", "checks"})
+FAULT_KEYS = frozenset({"transient_seed", "transient_scope", "crash", "restart",
+                        "duplicate", "reorder"})
 
 
 @dataclass
@@ -31,31 +36,23 @@ class Scenario:
     rate_overrides: Dict[int, float] = field(default_factory=dict)
     k_override: Optional[int] = None
     checks: Tuple[str, ...] = DEFAULT_CHECKS
-    transient_seed: Optional[int] = None
-    transient_scope: str = "all"
-    crash_at: Dict[int, int] = field(default_factory=dict)
-    restart_at: Dict[int, int] = field(default_factory=dict)
-    duplications: List[Tuple[int, int, int]] = field(default_factory=list)
-    reorders: List[Tuple[int, int, int]] = field(default_factory=list)
+    faults: FaultPlan = field(default_factory=FaultPlan)
 
     def __post_init__(self) -> None:
         if self.steps < 1:
             raise ScenarioError("steps must be >= 1")
-        for proc in [*self.crash_at, *self.restart_at, *self.rate_overrides]:
+        faults = self.faults
+        for proc in [*faults.crash_at, *faults.restart_at, *self.rate_overrides]:
             if not 1 <= proc <= self.n:
                 raise ScenarioError(f"processor id {proc} outside [1, {self.n}]")
         for rate in [self.increment_rate, *self.rate_overrides.values()]:
             if not 0.0 <= rate <= 1.0:
                 raise ScenarioError(f"increment rate {rate!r} outside [0, 1]")
-        for src, dst, _ in self.duplications + self.reorders:
+        for src, dst, _ in faults.duplications + faults.reorders:
             if not (1 <= src <= self.n and 1 <= dst <= self.n and src != dst):
                 raise ScenarioError(f"bad channel {src}>{dst}")
         if self.scheduler not in ("round_robin", "random"):
             raise ScenarioError(f"unknown scheduler {self.scheduler!r}")
-        try:
-            self.fault_plan()
-        except PreconditionViolated as exc:
-            raise ScenarioError(str(exc)) from exc
 
     # -- construction of runnable objects ----------------------------------------
 
@@ -78,16 +75,6 @@ class Scenario:
         sched.configure_workload(self.seed, rates)
         return sched
 
-    def fault_plan(self) -> FaultPlan:
-        return FaultPlan(
-            transient_seed=self.transient_seed,
-            transient_scope=self.transient_scope,
-            crash_at=dict(self.crash_at),
-            restart_at=dict(self.restart_at),
-            duplications=list(self.duplications),
-            reorders=list(self.reorders),
-        )
-
     # -- text round-trip -------------------------------------------------------------
 
     def to_text(self) -> str:
@@ -105,22 +92,23 @@ class Scenario:
         if self.k_override is not None:
             lines.append(f"k = {self.k_override}")
         lines.append(f"checks = {','.join(self.checks) if self.checks else 'none'}")
+        plan = self.faults
         faults = []
-        if self.transient_seed is not None:
-            faults.append(f"transient_seed = {self.transient_seed}")
-            faults.append(f"transient_scope = {self.transient_scope}")
-        if self.crash_at:
+        if plan.transient_seed is not None:
+            faults.append(f"transient_seed = {plan.transient_seed}")
+            faults.append(f"transient_scope = {plan.transient_scope}")
+        if plan.crash_at:
             faults.append("crash = " + ", ".join(
-                f"{p}@{s}" for p, s in sorted(self.crash_at.items())))
-        if self.restart_at:
+                f"{p}@{s}" for p, s in sorted(plan.crash_at.items())))
+        if plan.restart_at:
             faults.append("restart = " + ", ".join(
-                f"{p}@{s}" for p, s in sorted(self.restart_at.items())))
-        if self.duplications:
+                f"{p}@{s}" for p, s in sorted(plan.restart_at.items())))
+        if plan.duplications:
             faults.append("duplicate = " + ", ".join(
-                f"{a}>{b}@{s}" for a, b, s in self.duplications))
-        if self.reorders:
+                f"{a}>{b}@{s}" for a, b, s in plan.duplications))
+        if plan.reorders:
             faults.append("reorder = " + ", ".join(
-                f"{a}>{b}@{s}" for a, b, s in self.reorders))
+                f"{a}>{b}@{s}" for a, b, s in plan.reorders))
         if faults:
             lines.append("[faults]")
             lines.extend(faults)
@@ -130,20 +118,25 @@ class Scenario:
 def parse_scenario(text: str, origin: str = "<scenario>") -> Scenario:
     plain: Dict[str, str] = {}
     faults: Dict[str, str] = {}
-    section = plain
+    section, known = plain, PLAIN_KEYS
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if line == "[faults]":
-            section = faults
+            section, known = faults, FAULT_KEYS
             continue
         if line.startswith("["):
             raise ScenarioError(f"{origin}:{lineno}: unknown section {line}")
         key, sep, value = line.partition("=")
         if not sep:
             raise ScenarioError(f"{origin}:{lineno}: expected 'key = value'")
-        section[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in known and not (section is plain and key.startswith("increment_rate.")):
+            raise ScenarioError(f"{origin}:{lineno}: unknown key {key!r}")
+        if key in section:
+            raise ScenarioError(f"{origin}:{lineno}: key {key!r} given twice")
+        section[key] = value.strip()
 
     def need(key: str) -> str:
         if key not in plain:
@@ -166,16 +159,20 @@ def parse_scenario(text: str, origin: str = "<scenario>") -> Scenario:
             rate_overrides=rate_overrides,
             k_override=int(plain["k"]) if "k" in plain else None,
             checks=parse_checks(plain.get("checks", "all"), origin),
-            transient_seed=(int(faults["transient_seed"])
-                            if "transient_seed" in faults else None),
-            transient_scope=faults.get("transient_scope", "all"),
-            crash_at=_parse_proc_steps(faults.get("crash", ""), origin),
-            restart_at=_parse_proc_steps(faults.get("restart", ""), origin),
-            duplications=_parse_channel_steps(faults.get("duplicate", ""), origin),
-            reorders=_parse_channel_steps(faults.get("reorder", ""), origin),
+            faults=FaultPlan(
+                transient_seed=(int(faults["transient_seed"])
+                                if "transient_seed" in faults else None),
+                transient_scope=faults.get("transient_scope", "all"),
+                crash_at=_parse_proc_steps(faults.get("crash", ""), origin),
+                restart_at=_parse_proc_steps(faults.get("restart", ""), origin),
+                duplications=_parse_channel_steps(faults.get("duplicate", ""), origin),
+                reorders=_parse_channel_steps(faults.get("reorder", ""), origin),
+            ),
         )
     except ScenarioError:
         raise
+    except PreconditionViolated as exc:
+        raise ScenarioError(str(exc)) from exc
     except (ValueError, KeyError) as exc:
         raise ScenarioError(f"{origin}: {exc}") from exc
 
@@ -211,6 +208,8 @@ def _parse_proc_steps(value: str, origin: str) -> Dict[int, int]:
         proc, sep, step = chunk.partition("@")
         if not sep:
             raise ScenarioError(f"{origin}: expected proc@step, got {chunk!r}")
+        if int(proc) in out:
+            raise ScenarioError(f"{origin}: processor {int(proc)} named twice in {value!r}")
         out[int(proc)] = int(step)
     return out
 

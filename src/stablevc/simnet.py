@@ -12,11 +12,12 @@ import random
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from itertools import compress
+from math import gcd
 from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 from .errors import ActionNotEnabled, AlreadyCrashed, NotCrashed, PreconditionViolated
 from .labeling import ServerMessage, SystemConfig
-from .labels import Label, LabelComponent
+from .labels import Label, LabelComponent, next_b
 from .protocol import (
     QUIET_NOTES,
     ClientMessage,
@@ -155,7 +156,7 @@ class World:
         """
         world = cls(config)
         creator = config.n
-        shared = Label(creator, _seed_component(config.label_config))
+        shared = Label(creator, next_b([], config.label_config))
         for i in config.proc_ids:
             proc = world.procs[i]
             lab = proc.labeling
@@ -188,40 +189,8 @@ class World:
             if j != proc:
                 self.channels[(j, proc)].queue.clear()
 
-    # -- enabled actions ----------------------------------------------------------
-
-    def enabled_actions(self, proc: int) -> List[Action]:
-        if proc in self.crashed:
-            return []
-        state = self.procs[proc]
-        actions: List[Action] = []
-        actions.append(_BEGIN if state.pending_broadcast is None else _CONTINUE)
-        for j in self.config.proc_ids:
-            if j != proc and len(self.channels[(j, proc)]) > 0:
-                actions.append(_RECEIVE_FROM[j])
-        return actions
-
-
-def _seed_component(cfg) -> LabelComponent:
-    """The component next_b yields on empty input: (1, {2..k+1})."""
-    return LabelComponent(1, frozenset(range(2, cfg.k + 2)))
-
 
 # -- schedulers ---------------------------------------------------------------------
-
-
-class _IncrementRates(dict):
-    """proc -> its increment rate, resolved from the configured rates (its
-    own entry, else the key-0 default, else 0) on first use."""
-
-    def __init__(self, rates: Dict[int, float]):
-        super().__init__()
-        self.rates = rates
-
-    def __missing__(self, proc: int) -> float:
-        rates = self.rates
-        rate = self[proc] = rates.get(proc, rates.get(0, 0.0))
-        return rate
 
 
 class Scheduler:
@@ -236,15 +205,15 @@ class Scheduler:
         self._prefer_receive: Dict[int, bool] = defaultdict(bool)
         self._next_source: Dict[int, int] = defaultdict(int)
         self.workload_rng: Optional[random.Random] = None
-        self.increment_rates: Dict[int, float] = {}
-        self._rate_of = _IncrementRates({})
+        self._rates: Dict[int, float] = {}
+        self._default_rate = 0.0
 
     def configure_workload(self, seed: int, rates: Dict[int, float]) -> None:
         """Seed the increment draws; ``rates`` maps a processor id to its
         increment chance per loop iteration, with key 0 as the default."""
         self.workload_rng = random.Random(seed ^ 0x5EED)
-        self.increment_rates = rates
-        self._rate_of = _IncrementRates(rates)
+        self._rates = rates
+        self._default_rate = rates.get(0, 0.0)
 
     def next(self, world: World) -> Optional[Tuple[int, Action]]:
         raise NotImplementedError
@@ -266,7 +235,7 @@ class Scheduler:
         if world.procs[proc].pending_broadcast is not None:
             return _CONTINUE
         # Draw only for a rate strictly inside (0, 1).
-        rate = self._rate_of[proc]
+        rate = self._rates.get(proc, self._default_rate)
         if rate <= 0.0:
             return _BEGIN
         if rate >= 1.0 or self.workload_rng.random() < rate:
@@ -385,18 +354,12 @@ def _random_component(cfg, rng: random.Random) -> LabelComponent:
     domain = cfg.domain_size
     start = rng.randrange(domain)
     stride = rng.randrange(1, domain)
-    while _gcd(stride, domain) != 1:
+    while gcd(stride, domain) != 1:
         stride += 1
     # Each member is (start + i*stride) % domain + 1; taking (x + 1) % domain
     # instead maps the member `domain` to 0, which is swapped back.
     anti = frozenset([v % domain for v in range(start + 1, start + 1 + cfg.k * stride, stride)])
     return LabelComponent(sting, anti - {0} | {domain} if 0 in anti else anti)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _random_label(config: SystemConfig, rng: random.Random,
@@ -438,9 +401,8 @@ def _corrupt_processor(state: ProcessorState, rng: random.Random) -> None:
             slot = label.creator if rng.random() < 0.8 else j
             lab.stored[slot].insert(0, label)
         lab.max[j] = _random_label(config, rng) if rng.random() < 0.8 else None
-    lab._ready = False
+    lab.ready = False
     lab._dirty = True
-    lab.created_count = 0
     lab.created_log = []
     for j in config.proc_ids:
         state.pairs[j] = _random_pair(config, rng)
@@ -452,9 +414,6 @@ def _corrupt_processor(state: ProcessorState, rng: random.Random) -> None:
             _random_pair(config, rng), sorted(keep), _random_label(config, rng, 0.0), lab.max)
     else:
         state.pending_broadcast = None
-    state.restart_calls = 0
-    state.revive_calls = 0
-    state.increments = 0
 
 
 # -- the run loop -------------------------------------------------------------------------
@@ -478,7 +437,7 @@ def run(world: World, scheduler: Scheduler, steps: int,
     (the transient injection comes before ``on_start``).  ``world.clock``
     is the current step during a step and ``steps`` past its start afterwards.
     """
-    trace = Trace(config=world.config, level=trace_level)
+    trace = Trace(level=trace_level)
     plan = fault_plan or FaultPlan()
     if plan.transient_seed is not None and world.clock == 0:
         inject_transient(world, plan.transient_seed, plan.transient_scope)
@@ -594,8 +553,6 @@ def run(world: World, scheduler: Scheduler, steps: int,
                 counts[comm] = counts.get(comm, 0) + tally
     world.clock = start + steps
     trace.steps = world.clock
-    for observer in observers:
-        observer.on_finish(world, trace)
     return trace
 
 

@@ -76,8 +76,7 @@ def _render_detail(detail: Optional[dict]) -> str:
 class Trace:
     """An ordered record of events plus aggregate counters."""
 
-    def __init__(self, config=None, level: str = "full"):
-        self.config = config
+    def __init__(self, level: str = "full"):
         self.level = level
         self.events: List[TraceEvent] = []
         self.steps = 0

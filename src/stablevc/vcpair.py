@@ -9,7 +9,6 @@ arithmetic happens in [0, MAXINT); lifted sums use plain Python ints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from operator import le
 from typing import List, Optional
 
@@ -47,14 +46,6 @@ class VectorClockPair:
     def fresh(cls, label: Label, n: int, maxint: int) -> "VectorClockPair":
         """The restart value ⟨y, y⟩ with y = ⟨label, zeros, zeros⟩."""
         return cls(label, [0] * n, [0] * n, label, [0] * n, maxint)
-
-    @classmethod
-    def from_items(cls, curr: VectorClockItem, prev: VectorClockItem,
-                   maxint: int) -> "VectorClockPair":
-        if curr.o != prev.m:
-            raise ValueError("curr.o must equal prev.m (shared storage)")
-        mid = list(curr.o)
-        return cls(curr.label, list(curr.m), mid, prev.label, list(prev.o), maxint)
 
     def copy(self) -> "VectorClockPair":
         dup = VectorClockPair.__new__(VectorClockPair)
@@ -101,23 +92,11 @@ class VectorClockPair:
         return (f"⟨{self.curr_label!r}|{self.curr_m}|{self.mid} ∥ "
                 f"{self.prev_label!r}|{self.mid}|{self.prev_o}⟩")
 
-    def alias_ok(self) -> bool:
-        """The structural invariant: curr.o and prev.m are the same storage."""
-        return self.curr.o is self.prev.m
-
-
-class PivotKind(Enum):
-    BOTH_MATCH = "both_match"            # curr and prev both match (no wrap)
-    PREV_PREV = "prev_prev"              # concurrent wrap-around
-    LOC_CURR_IS_ARR_PREV = "loc_curr_is_arr_prev"  # the other pair wrapped
-    LOC_PREV_IS_ARR_CURR = "loc_prev_is_arr_curr"  # this pair wrapped
-
 
 @dataclass(slots=True)
 class Pivot:
     """A common (label, offset) reference item between two pairs."""
 
-    kind: PivotKind
     label: Label
     vector: List[int]  # the matched item's offset list in the first pair
 
@@ -173,20 +152,22 @@ def le_lo(a: VectorClockItem, b: VectorClockItem) -> bool:
 def exists_overlap(loc: VectorClockPair, arr: VectorClockPair) -> Optional[Pivot]:
     """The <_{l,o}-maximum common item of the two pairs, if any.
 
-    The current item of a well-formed pair never precedes its previous item,
-    so a match involving a ``curr`` side is preferred over the prev-prev match.
-    The pivot holds ``loc``'s own offset list: no pair rewrites its offsets.
+    ``loc``'s current item is the pivot when it matches: together with the
+    previous items (no wrap between the pairs), or as ``arr``'s previous
+    item (``arr`` wrapped).  Else ``loc``'s previous item is, when it
+    matches either item of ``arr``: the current item of a well-formed pair
+    never precedes its previous one, so a current item is preferred.  Two
+    pairs that share only their current item get None: a current-current
+    match counts only together with the previous items.  The pivot holds
+    ``loc``'s own offset list: no pair rewrites its offsets.
     """
     mid, prev_o = loc.mid, loc.prev_o
     prev_prev = prev_o == arr.prev_o and eq_m(loc.prev_label, arr.prev_label)
-    if prev_prev and mid == arr.mid and eq_m(loc.curr_label, arr.curr_label):
-        return Pivot(PivotKind.BOTH_MATCH, loc.curr_label, mid)
-    if mid == arr.prev_o and eq_m(loc.curr_label, arr.prev_label):
-        return Pivot(PivotKind.LOC_CURR_IS_ARR_PREV, loc.curr_label, mid)
-    if prev_o == arr.mid and eq_m(loc.prev_label, arr.curr_label):
-        return Pivot(PivotKind.LOC_PREV_IS_ARR_CURR, loc.prev_label, prev_o)
-    if prev_prev:
-        return Pivot(PivotKind.PREV_PREV, loc.prev_label, prev_o)
+    if (prev_prev and mid == arr.mid and eq_m(loc.curr_label, arr.curr_label)) \
+            or (mid == arr.prev_o and eq_m(loc.curr_label, arr.prev_label)):
+        return Pivot(loc.curr_label, mid)
+    if (prev_o == arr.mid and eq_m(loc.prev_label, arr.curr_label)) or prev_prev:
+        return Pivot(loc.prev_label, prev_o)
     return None
 
 
@@ -206,21 +187,13 @@ def merge(loc: VectorClockPair, arr: VectorClockPair,
     the per-entry maximum of events counted since the pivot.
 
     ``pivot`` is the one ``legit_pairs`` found for these pairs, if the
-    caller has it; whenever that one exists it names the same item as the
-    search below.
+    caller has it; without it ``merge`` asks ``exists_overlap``.
     """
-    if pivot is not None:
-        pivot_label, pivot_vec = pivot.label, pivot.vector
-    elif eq_m(loc.curr_label, arr.curr_label) and loc.mid == arr.mid:
-        pivot_label, pivot_vec = loc.curr_label, loc.mid
-    elif eq_m(loc.curr_label, arr.prev_label) and loc.mid == arr.prev_o:
-        pivot_label, pivot_vec = loc.curr_label, loc.mid
-    elif eq_m(loc.prev_label, arr.curr_label) and loc.prev_o == arr.mid:
-        pivot_label, pivot_vec = loc.prev_label, loc.prev_o
-    elif eq_m(loc.prev_label, arr.prev_label) and loc.prev_o == arr.prev_o:
-        pivot_label, pivot_vec = loc.prev_label, loc.prev_o
-    else:
-        raise NoPivot("pairs share no common item")
+    if pivot is None:
+        pivot = exists_overlap(loc, arr)
+        if pivot is None:
+            raise NoPivot("pairs share no common item")
+    pivot_label, pivot_vec = pivot.label, pivot.vector
 
     if eq_m(arr.curr_label, loc.curr_label):
         if arr.mid == loc.mid:

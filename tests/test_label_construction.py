@@ -2,6 +2,7 @@
 element-by-element reference versions, and extrema found on first use."""
 
 import random
+from math import gcd
 from types import SimpleNamespace
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from stablevc.errors import DomainExhausted
 from stablevc.labeling import SystemConfig
 from stablevc.labels import Label, LabelComponent, LabelConfig, next_b_from_sets, successor_component
-from stablevc.simnet import World, _gcd, _random_component, inject_transient
+from stablevc.simnet import World, _random_component, inject_transient
 from stablevc.trace import _label_digest
 
 C4_CFG = SystemConfig(4, 2, 16).label_config  # k = 1,064, |D| = 1,132,097
@@ -24,7 +25,7 @@ def ref_random_component(cfg, rng):
     domain = cfg.domain_size
     start = rng.randrange(domain)
     stride = rng.randrange(1, domain)
-    while _gcd(stride, domain) != 1:
+    while gcd(stride, domain) != 1:
         stride += 1
     return sting, frozenset((start + i * stride) % domain + 1 for i in range(cfg.k))
 

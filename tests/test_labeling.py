@@ -38,16 +38,16 @@ class TestBookkeeping:
         assert lab.creator == 2 and lab.cl is None
         assert state.is_stored(lab)
         assert not state.is_canceled(lab)
-        assert state.created_count == 1
+        assert len(state.created_log) == 1
 
     def test_idempotent_on_clean_state(self):
         state = fresh_state()
         state.label_bookkeeping()
         before = state.get_label()
-        count = state.created_count
+        count = len(state.created_log)
         state.label_bookkeeping()
         assert state.get_label() is before
-        assert state.created_count == count
+        assert len(state.created_log) == count
 
     def test_two_comparable_legit_labels_smaller_canceled(self):
         state = fresh_state()
@@ -171,10 +171,10 @@ class TestMessages:
         state.label_bookkeeping()
         lab = Label(3, comp(2, set(range(50, 50 + CFG.label_config.k))))
         state.label_bookkeeping_msg(self._msg(lab), sender=3, extra_labels=[])
-        created = state.created_count
+        created = len(state.created_log)
         copy = Label(3, lab.ml)
         state.label_bookkeeping_msg(self._msg(copy), sender=2, extra_labels=[])
-        assert state.created_count == created
+        assert len(state.created_log) == created
         assert sum(1 for entry in state.stored[3] if eq_m(entry, lab)) == 1
 
     def test_echo_cancels_own_max(self):

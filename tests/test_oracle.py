@@ -112,9 +112,6 @@ class _MirrorCheck:
                 for entry, shadow in zip(channel.queue, mirrored):
                     assert entry.message.client.arriving.curr_m == [v % maxint for v in shadow]
 
-    def on_finish(self, world, trace):
-        pass
-
 
 def _checked_run(plan, exact):
     world = World.clean_start(CFG_C2)

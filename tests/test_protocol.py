@@ -58,7 +58,7 @@ class TestRestartLocal:
         state.restart_local(notes, "line8")
         assert vc(state.local) == [0, 0, 0]
         assert eq_m(state.local.curr_label, state.labeling.get_label())
-        assert state.restart_calls == 1 and notes.restarts == 1
+        assert notes.restarts == 1 and notes.restart_cause == "line8"
 
     def test_invariants_hold_after(self):
         world = clean_world()
@@ -87,7 +87,6 @@ class TestRevive:
         state.local = state.revive(state.local, notes)
         new = state.local
         assert vc(new) == [0, 0, 0]
-        assert new.alias_ok()
         assert not exhausted(new)
         assert eq_m(new.prev_label, old.curr_label)
         assert new.prev_o == old.mid and new.mid == old.curr_m
@@ -129,9 +128,10 @@ class TestIncrement:
     def test_counts_own_index_only(self):
         world = clean_world()
         state = world.procs[2]
-        state.increment(StepNotes())
+        notes = StepNotes()
+        state.increment(notes)
         assert vc(state.local) == [0, 1, 0]
-        assert state.increments == 1
+        assert notes.increments == 1
 
     def test_revives_at_exhaustion_boundary(self):
         world = clean_world()

@@ -48,7 +48,7 @@ class TestParsing:
     def test_defaults(self):
         scenario = parse_scenario(GOOD)
         assert scenario.scheduler == "round_robin"
-        assert scenario.transient_seed is None
+        assert scenario.faults == FaultPlan()
         assert scenario.checks == ("req1", "causal", "segments", "global_inv", "local_inv")
 
     def test_missing_key(self):
@@ -97,6 +97,27 @@ class TestParsing:
         with pytest.raises(PreconditionViolated):
             FaultPlan(restart_at={2: 5})
 
+    def test_unknown_key(self):
+        # A misspelt key used to be dropped: rate 0.0, no crash, exit 0.
+        with pytest.raises(ScenarioError, match="unknown key 'increment_rte'"):
+            parse_scenario(GOOD + "increment_rte = 0.9\n")
+        with pytest.raises(ScenarioError, match="unknown key 'crashes'"):
+            parse_scenario(GOOD + "[faults]\ncrashes = 2@50\n")
+        with pytest.raises(ScenarioError, match="unknown key 'crash'"):
+            parse_scenario(GOOD.replace("seed = 4", "crash = 2@50"))
+
+    def test_key_given_twice(self):
+        with pytest.raises(ScenarioError, match="'increment_rate' given twice"):
+            parse_scenario(GOOD + "increment_rate = 0.1\n")
+        with pytest.raises(ScenarioError, match="'crash' given twice"):
+            parse_scenario(FAULTY + "crash = 3@200\n")
+
+    def test_processor_named_twice(self):
+        with pytest.raises(ScenarioError, match="processor 2 named twice"):
+            parse_scenario(FAULTY.replace("crash = 2@100", "crash = 2@10, 2@100"))
+        with pytest.raises(ScenarioError, match="processor 2 named twice"):
+            parse_scenario(FAULTY.replace("restart = 2@150", "restart = 2@150, 2@300"))
+
 
 class TestCli:
     def _write(self, tmp_path, text, name="case.scenario"):
@@ -123,6 +144,13 @@ class TestCli:
             assert main(["run", path, "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
         path = self._write(tmp_path, GOOD + "[faults]\nrestart = 2@5\n")
         assert main(["run", path, "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
+        # An unknown key, a key given twice, a processor crashed twice.
+        for bad in ("increment_rte = 0.9\n", "increment_rate = 0.1\n",
+                    "[faults]\ncrash = 2@10, 2@100\n"):
+            path = self._write(tmp_path, GOOD + bad)
+            capsys.readouterr()
+            assert main(["run", path, "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
+            assert len(capsys.readouterr().err.splitlines()) == 1
 
     def test_run_missing_file_exit_two(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.scenario"),

@@ -67,21 +67,26 @@ class TestChannel:
 class TestEnabledActions:
     def test_idle_processor_can_begin(self):
         world = World.clean_start(CFG)
-        kinds = {a.kind for a in world.enabled_actions(1)}
-        assert kinds == {BEGIN_BROADCAST}
+        sched = RoundRobinScheduler()
+        # Nothing to receive: every pick is a begin, whichever side is preferred.
+        assert [sched.pick_action(world, 1).kind for _ in range(2)] == [BEGIN_BROADCAST] * 2
 
     def test_pending_and_incoming(self):
         world = World.clean_start(CFG)
         run(world, ScriptedScheduler([(1, Action(BEGIN_BROADCAST))]), 1)  # sends to 2
-        kinds = {a.kind for a in world.enabled_actions(2)}
-        assert kinds == {BEGIN_BROADCAST, RECEIVE}
-        kinds1 = {a.kind for a in world.enabled_actions(1)}
-        assert kinds1 == {CONTINUE_BROADCAST}
+        sched = RoundRobinScheduler()
+        picks = [sched.pick_action(world, 2) for _ in range(2)]
+        assert [a.kind for a in picks] == [BEGIN_BROADCAST, RECEIVE]
+        assert picks[1].sender == 1
+        assert world.procs[1].pending_broadcast is not None
+        assert sched.pick_action(world, 1).kind == CONTINUE_BROADCAST
 
     def test_crashed_processor_has_none(self):
         world = World.clean_start(CFG)
         world.crash(2)
-        assert world.enabled_actions(2) == []
+        assert 2 not in world.live_procs()
+        sched = RoundRobinScheduler()
+        assert [sched.next(world)[0] for _ in range(4)] == [1, 3, 1, 3]
 
 
 class TestCrashRestart:
@@ -139,15 +144,8 @@ class TestTransient:
                 z = proc.pairs[j]
                 assert len(z.curr_m) == len(z.mid) == len(z.prev_o) == CFG.n
                 assert all(0 <= v < CFG.maxint for v in z.curr_m + z.mid + z.prev_o)
-                assert z.alias_ok()
         for channel in world.channels.values():
             assert len(channel) <= CFG.c
-
-    def test_counters_reset(self):
-        world = World.clean_start(CFG)
-        world.procs[1].increments = 7
-        inject_transient(world, seed=5)
-        assert world.procs[1].increments == 0
 
     def test_channels_scope_leaves_processors_alone(self):
         world = World.clean_start(CFG)
@@ -375,22 +373,6 @@ class TestScriptedScheduler:
         world = World.clean_start(CFG)
         with pytest.raises(ActionNotEnabled):
             run(world, ScriptedScheduler([(2, Action(RECEIVE, sender=1))]), 1)
-
-
-class TestCounterConsistency:
-    def test_trace_counters_match_processor_tallies(self):
-        world = World.clean_start(CFG)
-        sched = RandomScheduler(17)
-        sched.configure_workload(17, {0: 0.6})
-        trace = run(world, sched, 4000)
-        restarts = sum(world.procs[i].restart_calls for i in CFG.proc_ids)
-        revives = sum(world.procs[i].revive_calls for i in CFG.proc_ids)
-        increments = sum(world.procs[i].increments for i in CFG.proc_ids)
-        creations = sum(world.procs[i].labeling.created_count for i in CFG.proc_ids)
-        assert trace.count("restart_local") == restarts
-        assert trace.count("revive") == revives
-        assert trace.count("increment") == increments
-        assert trace.count("new_label") == creations
 
 
 class LinearScanScheduler(RandomScheduler):
