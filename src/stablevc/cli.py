@@ -57,6 +57,13 @@ def execute_scenario(scenario: Scenario):
         floor = trace.steps // (summary.b_restart + summary.b_revive + 1)
         if summary.max_segment < floor:
             failures.append(f"segments: max legal segment {summary.max_segment} < {floor}")
+    if "converged" in scenario.checks:
+        # As acceptance criterion C4: no restart_local in the final half.
+        late = [e.step for e in trace.by_kind("restart_local") if e.step >= trace.steps // 2]
+        if late:
+            failures.append(f"converged: {len(late)} restart_local in the final half "
+                            f"(steps {trace.steps // 2}..{trace.steps - 1}), "
+                            f"the last at step {late[-1]}")
     if "global_inv" in scenario.checks and not global_invariants(world):
         failures.append("global_inv: final state violates the global invariants")
     if monitor is not None and monitor.violations:
@@ -94,7 +101,7 @@ def _run_one(args) -> int:
                     else parse_checks(checks_override, "--checks")))
         _world, trace, summary, failures = execute_scenario(scenario)
     except (ScenarioError, StableVCError, OSError) as exc:
-        print(f"{path}: error: {exc}", file=sys.stderr)
+        print(_error_line(path, str(exc)), file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
     base = os.path.splitext(os.path.basename(path))[0]
@@ -113,6 +120,19 @@ def _run_one(args) -> int:
         return EXIT_CHECK_FAILED
     print(f"{path}: all enabled checks passed")
     return EXIT_OK
+
+
+def _error_line(path: str, message: str) -> str:
+    """``path[:line]: error: message``, naming the path once: messages from
+    the scenario parser already start with ``path:`` or ``path:line:``."""
+    prefix = path + ":"
+    if not message.startswith(prefix):
+        return f"{path}: error: {message}"
+    rest = message[len(prefix):]
+    line, sep, text = rest.partition(": ")
+    if sep and line.isdigit():
+        return f"{prefix}{line}: error: {text}"
+    return f"{path}: error: {rest.lstrip()}"
 
 
 def cmd_run(paths: List[str], seed: Optional[int], steps: Optional[int],

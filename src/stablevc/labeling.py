@@ -141,6 +141,11 @@ class LabelingState:
         entry = self.stored_copy(label)
         return entry is not None and entry.cl is not None
 
+    @property
+    def dirty(self) -> bool:
+        """True while a change awaits its bookkeeping pass."""
+        return self._dirty
+
     def get_label(self) -> Label:
         if not self.ready:
             raise NotReady("label_bookkeeping has not run yet")
@@ -308,16 +313,18 @@ class LabelingState:
 
     def _wipe_if_stale(self) -> None:
         """Misplaced or duplicated labels mean arbitrary corruption: empty everything."""
+        label_cfg = self.label_cfg
+        k = label_cfg.k
         for j in self.cfg.proc_ids:
-            queue = self.stored[j]
-            seen = set()
-            for entry in queue:
-                key = (entry.creator, entry.ml)
-                if entry.creator != j or key in seen or not entry.ml.valid_under(self.label_cfg):
+            seen = set()  # components: every entry here has creator j
+            for entry in self.stored[j]:
+                ml = entry.ml
+                if entry.creator != j or ml in seen \
+                        or (ml.valid_k != k and not ml.valid_under(label_cfg)):
                     self.stored = [[] for _ in range(self.cfg.n + 1)]
                     self._mint_cache = [None] * (self.cfg.n + 1)
                     return
-                seen.add(key)
+                seen.add(ml)
 
     def _cross_cancel(self) -> None:
         """Within each queue, resolve legitimate labels down to at most one.

@@ -40,16 +40,18 @@ class LabelComponent:
 
     The antistings extrema ``_lo``/``_hi`` (0 for an empty set) start as
     ``None`` and are found on first use by ``find_extrema``: most components
-    are never validated or rendered, and each scan costs O(k).
+    are never validated or rendered, and each scan costs O(k).  ``valid_k``
+    is the ``k`` the component last passed ``valid_under`` with (validity
+    depends on nothing else), or ``None``.
     """
 
-    __slots__ = ("sting", "antistings", "_hash", "_lo", "_hi", "__weakref__")
+    __slots__ = ("sting", "antistings", "_hash", "_lo", "_hi", "valid_k", "__weakref__")
 
     def __init__(self, sting: int, antistings: FrozenSet[int]):
         self.sting = sting
         self.antistings = antistings if isinstance(antistings, frozenset) else frozenset(antistings)
         self._hash = hash((sting, self.antistings))
-        self._lo = self._hi = None
+        self._lo = self._hi = self.valid_k = None
 
     def find_extrema(self) -> None:
         anti = self.antistings
@@ -75,11 +77,17 @@ class LabelComponent:
 
     def valid_under(self, cfg: LabelConfig) -> bool:
         """Structural validity: cardinality and domain bounds (O(1) once the extrema are known)."""
-        if len(self.antistings) != cfg.k or not 1 <= self.sting <= cfg.domain_size:
+        k = cfg.k
+        if self.valid_k == k:
+            return True
+        if len(self.antistings) != k or not 1 <= self.sting <= cfg.domain_size:
             return False
         if self._lo is None:
             self.find_extrema()
-        return self._lo >= 1 and self._hi <= cfg.domain_size
+        if self._lo >= 1 and self._hi <= cfg.domain_size:
+            self.valid_k = k
+            return True
+        return False
 
 
 class Label:

@@ -15,6 +15,8 @@ from .labeling import SystemConfig
 from .simnet import FaultPlan, RandomScheduler, RoundRobinScheduler, Scheduler, World
 
 DEFAULT_CHECKS = ("req1", "causal", "segments", "global_inv", "local_inv")
+# Checks that ``all`` leaves out; a file or ``--checks`` must name them.
+OPT_IN_CHECKS = ("converged",)
 # Keys a file may give, once each; ``increment_rate.<p>`` is also a plain key.
 PLAIN_KEYS = frozenset({"n", "c", "maxint", "steps", "seed", "scheduler",
                         "increment_rate", "k", "checks"})
@@ -147,7 +149,11 @@ def parse_scenario(text: str, origin: str = "<scenario>") -> Scenario:
         rate_overrides = {}
         for key, value in plain.items():
             if key.startswith("increment_rate."):
-                rate_overrides[int(key.split(".", 1)[1])] = float(value)
+                proc = int(key.split(".", 1)[1])
+                if proc in rate_overrides:
+                    raise ScenarioError(f"{origin}: processor {proc} named twice "
+                                        f"in increment_rate keys, again as {key!r}")
+                rate_overrides[proc] = float(value)
         return Scenario(
             n=int(need("n")),
             c=int(need("c")),
@@ -184,7 +190,7 @@ def parse_checks(raw: str, origin: str) -> Tuple[str, ...]:
     if raw == "none":
         return ()
     checks = tuple(part.strip() for part in raw.split(",") if part.strip())
-    unknown = set(checks) - set(DEFAULT_CHECKS)
+    unknown = set(checks) - set(DEFAULT_CHECKS) - set(OPT_IN_CHECKS)
     if unknown:
         raise ScenarioError(f"{origin}: unknown checks {sorted(unknown)}")
     return checks
@@ -195,7 +201,8 @@ def load_scenario(path: str) -> Scenario:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ScenarioError(f"cannot read {path}: {exc}") from exc
+        reason = getattr(exc, "strerror", None) or exc  # an OSError's text repeats the path
+        raise ScenarioError(f"{path}: cannot read: {reason}") from exc
     return parse_scenario(text, origin=path)
 
 

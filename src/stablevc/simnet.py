@@ -529,7 +529,7 @@ def run(world: World, scheduler: Scheduler, steps: int,
                     continue
                 comm = "send"
                 injected = False
-            events = _note_events(now, proc, notes, injected)
+            events = [] if notes in QUIET_NOTES else _note_events(now, proc, notes, injected)
             if lean:
                 for event in events:
                     record(event)

@@ -260,6 +260,24 @@ def test_valid_under_rejects_on_first_query():
     assert (zero._lo, above._hi, good._lo, good._hi) == (0, 11, 2, 10)
 
 
+def test_valid_under_remembers_only_the_k_it_passed():
+    k3, k4 = LabelConfig(k=3), LabelConfig(k=4)
+    good = LabelComponent(5, frozenset({2, 3, 10}))
+    # Valid under k = 3 only: its antistings have three members.
+    assert [good.valid_under(cfg) for cfg in (k4, k3, k4, k3, k3)] == \
+        [False, True, False, True, True]
+    assert good.valid_k == 3
+    # Under k = 4 the domain grows to 17, so the sting 11 fits; under 3 it does not.
+    wide = LabelComponent(11, frozenset({1, 2, 3, 4}))
+    assert [wide.valid_under(cfg) for cfg in (k4, k3, k4)] == [True, False, True]
+    # A failed check leaves nothing behind, however often it is asked.
+    for comp in (LabelComponent(5, frozenset({0, 2, 3})),
+                 LabelComponent(5, frozenset({2, 3, 11})),
+                 LabelComponent(11, frozenset({2, 3, 4}))):
+        assert [comp.valid_under(k3) for _ in range(3)] == [False] * 3
+        assert comp.valid_k is None
+
+
 def test_label_digest_renders_the_eager_extrema():
     anti_sets = [frozenset(), frozenset({7}), frozenset({9, 2, 5}), frozenset(range(40, 90, 7))]
     for anti in anti_sets:

@@ -33,7 +33,7 @@ from stablevc.simnet import (
     World,
     run,
 )
-from stablevc.trace import Trace, TraceEvent
+from stablevc.trace import Trace, TraceEvent, format_pair
 from stablevc.vcpair import (
     causal_precedence,
     equal_static,
@@ -142,6 +142,104 @@ class TestFaultMirror:
         plan = FaultPlan(crash_at={2: 300}, restart_at={2: 700})
         trace, check = _checked_run(plan, exact=False)
         assert trace.count("restart") == 1 and check.calls > 0
+
+
+class _SnapshotTexts:
+    """Observer placed after a ShadowTracker: the text of every pair
+    snapshot at the step it was recorded."""
+
+    def __init__(self, tracker):
+        self.tracker = tracker
+        self.texts = {proc: [] for proc in tracker.config.proc_ids}
+
+    def on_start(self, world):
+        self.on_step(world, None)
+
+    def on_step(self, world, events):
+        for proc, texts in self.texts.items():
+            for pair in self.tracker.snap_pairs[proc][len(texts):]:
+                texts.append(format_pair(pair))
+
+
+class TestSnapshotsStayFrozen:
+    """The tracker keeps the local pair object itself as its snapshot."""
+
+    def test_recorded_pairs_never_change(self):
+        plan = FaultPlan(crash_at={2: 300}, restart_at={2: 700},
+                         duplications=DUPLICATES.duplications,
+                         reorders=[(2, 1, 57), (1, 2, 94), (2, 3, 168), (3, 2, 205)])
+        world = World.clean_start(CFG_C2)
+        sched = RandomScheduler(3)
+        sched.configure_workload(3, {0: 0.8})
+        tracker = ShadowTracker(CFG_C2)
+        texts = _SnapshotTexts(tracker)
+        trace = run(world, sched, 3000, fault_plan=plan, observers=[tracker, texts])
+        for kind in ("revive", "restart", "duplicate", "reorder"):
+            assert trace.count(kind) > 0, kind
+        for proc, recorded in texts.texts.items():
+            assert len(recorded) > 100
+            assert [format_pair(pair) for pair in tracker.snap_pairs[proc]] == recorded
+
+
+class _RefInvariantMonitor:
+    """The monitor without its memo: asks local_invariants after every handler."""
+
+    def __init__(self):
+        self.checked = 0
+        self.violations = []
+
+    def on_step(self, world, events):
+        comm = events[-1]
+        if comm.kind not in ("send", "receive"):
+            return
+        state = world.procs[comm.proc]
+        if not state.labeling.ready:
+            return
+        self.checked += 1
+        if not state.local_invariants():
+            self.violations.append(Violation(
+                "local_invariants", comm.step, comm.proc, f"after {comm.kind}"))
+
+
+class _CancelCurrent:
+    """At the given steps, cancel the stepping processor's current label in
+    its storage, leaving the labeling state dirty for the observers after."""
+
+    def __init__(self, steps):
+        self.steps = steps
+
+    def on_step(self, world, events):
+        comm = events[-1]
+        if comm.step in self.steps and comm.proc:
+            state = world.procs[comm.proc]
+            state.labeling.cancel(state.local.curr_label, state.local.curr_label)
+            assert state.labeling.dirty
+
+
+class TestInvariantMonitorMemo:
+    """The memoized monitor reports what asking at every step reports."""
+
+    @pytest.mark.parametrize("name, plan, steps, saboteur", [
+        ("clean", None, 3000, None),
+        ("transient", FaultPlan(transient_seed=4), 6000, None),
+        ("crash", FaultPlan(crash_at={2: 700}, restart_at={2: 1100}), 3000, None),
+        ("dirty", None, 3000, _CancelCurrent({500, 1501, 2222})),
+    ])
+    def test_same_verdicts_as_reference(self, name, plan, steps, saboteur):
+        config = SystemConfig(n=4, c=2, maxint=64)
+        world = World.clean_start(config)
+        sched = RandomScheduler(4)
+        sched.configure_workload(4, {0: 0.3})
+        monitor, reference = InvariantMonitor(), _RefInvariantMonitor()
+        observers = [saboteur] if saboteur else []
+        trace = run(world, sched, steps, fault_plan=plan,
+                    observers=observers + [monitor, reference])
+        assert monitor.checked == reference.checked > steps // 2
+        assert monitor.violations == reference.violations
+        if name in ("transient", "dirty"):
+            assert reference.violations
+        if name == "crash":
+            assert trace.count("restart") == 1
 
 
 def _trace_with(steps, events):

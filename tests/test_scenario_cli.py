@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from stablevc.cli import EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR, EXIT_OK, main
+from stablevc.cli import EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR, EXIT_OK, execute_scenario, main
 from stablevc.errors import PreconditionViolated, ScenarioError
 from stablevc.scenario import Scenario, load_scenario, parse_scenario
 from stablevc.simnet import FaultPlan
@@ -118,6 +118,17 @@ class TestParsing:
         with pytest.raises(ScenarioError, match="processor 2 named twice"):
             parse_scenario(FAULTY.replace("restart = 2@150", "restart = 2@150, 2@300"))
 
+    def test_rate_override_processor_spelled_twice(self):
+        # Both keys name processor 2; the later value used to win silently.
+        with pytest.raises(ScenarioError, match="processor 2 named twice"):
+            parse_scenario(GOOD + "increment_rate.2 = 0.9\nincrement_rate.02 = 0.1\n")
+
+    def test_converged_is_opt_in(self):
+        assert "converged" not in parse_scenario(GOOD).checks
+        scenario = parse_scenario(GOOD.replace("checks = all", "checks = segments,converged"))
+        assert scenario.checks == ("segments", "converged")
+        assert parse_scenario(scenario.to_text()).checks == scenario.checks
+
 
 class TestCli:
     def _write(self, tmp_path, text, name="case.scenario"):
@@ -144,13 +155,33 @@ class TestCli:
             assert main(["run", path, "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
         path = self._write(tmp_path, GOOD + "[faults]\nrestart = 2@5\n")
         assert main(["run", path, "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
-        # An unknown key, a key given twice, a processor crashed twice.
+        # An unknown key, a key given twice, a processor crashed twice, one
+        # processor's rate under two spellings.
         for bad in ("increment_rte = 0.9\n", "increment_rate = 0.1\n",
-                    "[faults]\ncrash = 2@10, 2@100\n"):
+                    "[faults]\ncrash = 2@10, 2@100\n",
+                    "increment_rate.2 = 0.9\nincrement_rate.02 = 0.1\n"):
             path = self._write(tmp_path, GOOD + bad)
             capsys.readouterr()
             assert main(["run", path, "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
             assert len(capsys.readouterr().err.splitlines()) == 1
+
+    def test_error_line_names_the_file_once(self, tmp_path, capsys):
+        path = self._write(tmp_path, GOOD + "increment_rte = 0.9\n")
+        lineno = len(GOOD.splitlines()) + 1
+        capsys.readouterr()
+        assert main(["run", path, "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == f"{path}:{lineno}: error: unknown key 'increment_rte'\n"
+        path = self._write(tmp_path, GOOD.replace("n = 3\n", ""))
+        assert main(["run", path, "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == f"{path}: error: missing required key 'n'\n"
+        # An error that carries no path gets one.
+        path = self._write(tmp_path, GOOD)
+        assert main(["run", path, "--out", str(tmp_path), "--steps", "0"]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == f"{path}: error: steps must be >= 1\n"
+        missing = str(tmp_path / "nope.scenario")
+        assert main(["run", missing, "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"{missing}: error: cannot read: ") and err.count(missing) == 1
 
     def test_run_missing_file_exit_two(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.scenario"),
@@ -229,6 +260,39 @@ class TestCli:
         assert main(["run", *paths, "--out", str(tmp_path), "--jobs", "2"]) == EXIT_OK
         assert (tmp_path / "case0.trace").exists()
         assert (tmp_path / "case1.trace").exists()
+
+
+# C4's seed 32004 as a scenario: it never converges (restarts continue to
+# the end), yet its legal segments and final state pass their checks.
+C4_SEED_32004 = """
+n = 4
+c = 2
+maxint = 64
+steps = 200000
+seed = 32004
+scheduler = random
+increment_rate = 0.05
+checks = converged,segments,global_inv
+[faults]
+transient_seed = 32004
+transient_scope = all
+"""
+
+
+class TestConvergedCheck:
+    def test_clean_run_converges(self, tmp_path):
+        path = tmp_path / "clean.scenario"
+        path.write_text(GOOD)
+        assert main(["run", str(path), "--out", str(tmp_path), "--checks",
+                     "req1,causal,segments,global_inv,local_inv,converged"]) == EXIT_OK
+
+    def test_c4_seed_32004_fails_converged_only(self):
+        _world, trace, _summary, failures = execute_scenario(parse_scenario(C4_SEED_32004))
+        last = max(e.step for e in trace.by_kind("restart_local"))
+        assert last >= trace.steps // 2
+        assert len(failures) == 1 and "\n" not in failures[0]
+        assert failures[0].startswith("converged: ")
+        assert failures[0].endswith(f"the last at step {last}")
 
 
 class TestBundledScenarios:
