@@ -251,7 +251,9 @@ def successor_component(comp: LabelComponent, cfg: LabelConfig) -> LabelComponen
     Chain stings live strictly above the padding zone [1, k+1] and increase
     monotonically; the successor inherits every chain sting the parent
     carries plus the parent's own, keeping the whole epoch chain totally
-    ordered under the component order (up to a k-era window).
+    ordered under the component order (up to a k-era window).  When that
+    chain holds more than k values, antistings above the parent's sting go
+    before chain stings, so any valid parent lies below its successor.
     """
     low_zone = cfg.k + 1
     taken = comp.antistings.__contains__
@@ -262,11 +264,23 @@ def successor_component(comp: LabelComponent, cfg: LabelConfig) -> LabelComponen
         sting = next(filterfalse(comp.sting.__eq__, free), None)
     if sting is None:
         raise DomainExhausted("no successor sting available")
+    parent = comp.sting
+
+    def trim_rank(v: int):
+        # Values above the parent's sting are no chain stings (those rise up
+        # to the budget wrap): a transient left them, so they go first.  The
+        # ones the new sting jumped over go lowest first (no later sting can
+        # take them), the others highest first (the farthest from the stings
+        # to come).  Then the oldest chain stings; the parent's sting stays.
+        if v > parent:
+            return (0, v) if v < sting else (1, -v)
+        return (2, v) if v < parent else (3, 0)
+
     chain = {v for v in comp.antistings if v > low_zone}
-    chain.add(comp.sting)
+    chain.add(parent)
     chain.discard(sting)
     while len(chain) > cfg.k:
-        chain.remove(min(chain))
+        chain.remove(min(chain, key=trim_rank))
     return _padded_component(sting, chain, cfg)
 
 

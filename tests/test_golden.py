@@ -46,20 +46,20 @@ SCENARIO_DIGESTS = {
 GRID_DIGESTS = {
     "n2-m2-random-all-full": "bdf7efdc0c39d8bdb6a53155cc9b674da41357eb71d6fc3a1b138b3053a80c05",
     "n2-m2-rr-channels-faults": "cfd3039ee37be34cc5431d2dbf359aa739dc5319506a04b69431039a4fba9f3b",
-    "n2-m4-random-all-full": "36df7b58fca63bf757f30c023c55461eea32d6cd2cc9f941e916636eeb625766",
+    "n2-m4-random-all-full": "2a2adef171fa42f3bac2567e720e247a334dede5301b556bb51c1d31a12c2abb",
     "n2-m4-rr-channels-faults": "05088bc31a5d466c972656e6182fb578451650144df8b53307d4990c3a60d699",
-    "n2-m64-random-all-full": "3714f9d592ebbf04753756aebdfca47832a826c3c664d4e7b5a21f3562dad25b",
+    "n2-m64-random-all-full": "aacf70e64654c30618c4b412f0b67fe8b12cc20355ffac4b792e7d606999c61e",
     "n2-m64-rr-channels-faults": "ff388edc29581aa617c31c5c305ac32542ecc31d47871880258dd59a8ff1adfd",
-    "n3-m2-random-all-full": "33b016f41d337b8100e07d824250a7f71ca1d57b69754284c4c95ddcb9f5817e",
+    "n3-m2-random-all-full": "64f9754e9489bba26276d4209962a62e785c7723f876cb524f50dec806d513f1",
     "n3-m2-rr-channels-faults": "4ffd4788baf9a9fd68d02474943147e996587acbfc0dddb6c101bbe358a283a6",
     "n3-m4-random-all-full": "c0a0a6b12b4a87314fe84bde17309510f79ff702f0b9179939155f0ee2deef7e",
     "n3-m4-rr-channels-faults": "f56fc9b5e03e3e97faa3ac42d5126745d140bd2078ca68d5254e989b7d285d39",
-    "n3-m64-random-all-full": "92e61545618a80dc16ba252dc10eb3e10b0287eb6b3bdff2edbacb404793a307",
+    "n3-m64-random-all-full": "92b572f2372d3a2efc9191be471a45d6bc6f444bf2e17da8fef10d70da6069fb",
     "n3-m64-rr-channels-faults": "f7c2daffac37a57e8f09dec9aa149aee57176170504aaa5728d366a956a72868",
-    "n5-m2-random-all-full": "4e145ca96907a77e9b8d74b28a027e696585ae36dbd5cb9612e686f29d0a38df",
-    "n5-m2-rr-channels-faults": "6cc688c707dcc187a32613f268cdfcca8a2284f9a1fa1544a697edf8cc94b14e",
+    "n5-m2-random-all-full": "a4f4935f491b3cf23d185a121b439b2d167085303d5280d5e61f703a0381d175",
+    "n5-m2-rr-channels-faults": "682dc1c264ae7204b3b4cdf29d24951750a327dec316968095989c7663ec9692",
     "n5-m4-random-all-full": "76f8b37829b5fbfc765011e452ba9efaeed519720262be90f7a615d25236c1f7",
-    "n5-m4-rr-channels-faults": "9ae23eefb5df53edf731d123151b4fda4aca6d1be824cdcc01f439ff00c36730",
+    "n5-m4-rr-channels-faults": "1a9e53d84e6d0339534c5f3115d6c45d59f76dfe1051bb5c48091e68a8cc079f",
     "n5-m64-random-all-full": "63fe8d15f4993b579f1cff085d88f9b2e92c0aa86c48bedaad03139c3848e1c2",
     "n5-m64-rr-channels-faults": "e2bae3bc2c6b46f20d2512c64b60c9203c4da57f3d2965fefa2bbfff8f3cfbfc",
 }

@@ -11,7 +11,15 @@ from hypothesis import strategies as st
 
 from stablevc.errors import DomainExhausted
 from stablevc.labeling import SystemConfig
-from stablevc.labels import Label, LabelComponent, LabelConfig, next_b_from_sets, successor_component
+from stablevc.labels import (
+    Label,
+    LabelComponent,
+    LabelConfig,
+    next_b,
+    next_b_from_sets,
+    precedes_b,
+    successor_component,
+)
 from stablevc.simnet import World, _random_component, inject_transient
 from stablevc.trace import _label_digest
 
@@ -74,8 +82,22 @@ def ref_successor_component(sting0, antistings, cfg):
     chain = {v for v in antistings if v > low_zone}
     chain.add(sting0)
     chain.discard(sting)
+    # Overflow: values above the parent's sting are no chain stings.  Drop
+    # one at a time: a value the new sting jumped over (lowest first), else
+    # another value above the parent's sting (highest first), else the
+    # oldest chain sting; the parent's own sting last of all.
     while len(chain) > cfg.k:
-        chain.remove(min(chain))
+        jumped = [v for v in chain if sting0 < v < sting]
+        above = [v for v in chain if v > sting0]
+        older = [v for v in chain if v < sting0]
+        if jumped:
+            chain.remove(min(jumped))
+        elif above:
+            chain.remove(max(above))
+        elif older:
+            chain.remove(min(older))
+        else:
+            chain.remove(sting0)
     return _ref_pad(chain, sting, cfg)
 
 
@@ -221,9 +243,85 @@ def test_successor_chain_through_the_sting_budget_wrap():
         nxt = successor_component(comp, cfg)
         assert (nxt.sting, nxt.antistings) == \
             ref_successor_component(comp.sting, comp.antistings, cfg)
+        assert precedes_b(comp, nxt)
         wraps += nxt.sting < comp.sting
         comp = nxt
     assert wraps >= 2
+
+
+def test_successor_above_a_parent_whose_antistings_all_lie_above_it():
+    # A transient can leave every antisting above the sting.  The chain then
+    # holds k + 1 values; the trim must drop one of those, not the sting.
+    cfg = C4_CFG
+    k = cfg.k
+    comp = LabelComponent(k + 6, frozenset(range(k + 7, 2 * k + 7)))
+    assert comp.valid_under(cfg)
+    nxt = successor_component(comp, cfg)
+    assert precedes_b(comp, nxt)
+    assert (nxt.sting, nxt.antistings) == \
+        ref_successor_component(comp.sting, comp.antistings, cfg)
+
+
+# -- the epoch chain stays ordered -------------------------------------------------
+
+EPOCHS = 8
+
+
+def _start_component(cfg, kind, rng):
+    """A valid component of the given kind.  A ``far`` or ``chain`` one has
+    its sting above the padding zone and the EPOCHS + 1 values above it free."""
+    k, domain, low_zone = cfg.k, cfg.domain_size, cfg.k + 1
+    if kind == "random":
+        return LabelComponent(*ref_random_component(cfg, rng))
+    if kind == "above":  # every antisting within 3k above the sting
+        sting = rng.randint(1, domain - 3 * k)
+        return LabelComponent(sting, frozenset(rng.sample(range(sting + 1, sting + 3 * k + 1), k)))
+    if kind == "around":  # antistings on both sides of the sting
+        sting = rng.randint(low_zone, domain - 2 * k)
+        pool = range(max(1, sting - 2 * k), sting + 2 * k + 1)
+        return LabelComponent(sting, frozenset(rng.sample(pool, k)))
+    if kind == "mint":  # next_b over stored components, random or stung from below
+        stored = [_start_component(cfg, rng.choice(("random", "above")), rng)
+                  for _ in range(rng.randint(1, min(k, 4)))]
+        return next_b(stored, cfg)
+    # "far": antistings beyond the next EPOCHS stings, as a transient leaves
+    # them above every chain sting; "chain": the same over a run of older
+    # chain stings below the sting.
+    sting = rng.randint(low_zone + 1, domain - 4 * k - EPOCHS - 1)
+    far = range(sting + EPOCHS + 2, sting + EPOCHS + 2 + 3 * k)
+    below = rng.randint(0, min(k, sting - low_zone - 1)) if kind == "chain" else 0
+    anti = set(range(sting - below, sting)) | set(rng.sample(far, k - below))
+    return LabelComponent(sting, frozenset(anti))
+
+
+def _leaves_room(comp, cfg):
+    """Sting above the padding zone, the next EPOCHS + 1 values free."""
+    top = comp.sting + EPOCHS + 1
+    return (comp.sting > cfg.k + 1 and top <= cfg.domain_size
+            and not any(comp.sting < v <= top for v in comp.antistings))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([LabelConfig(k=3), LabelConfig(k=8), LabelConfig(k=64), C4_CFG]),
+       st.sampled_from(["random", "above", "around", "mint", "far", "chain"]),
+       st.integers(0, 2**32))
+def test_epoch_chain_stays_ordered(cfg, kind, seed):
+    """From any valid component each successor is above its parent.  Where
+    the sting is above the padding zone and the values the next stings take
+    are free, epochs two apart are ordered too: no antisting a transient
+    left above the sting can crowd the parent's sting out of the chain."""
+    if kind in ("far", "chain") and cfg.domain_size < 5 * cfg.k + EPOCHS + 3:
+        kind = "random"  # the domain (k = 3) is too small for that shape
+    comp = _start_component(cfg, kind, random.Random(seed))
+    assert comp.valid_under(cfg)
+    chain = [comp]
+    for _ in range(EPOCHS):
+        chain.append(successor_component(chain[-1], cfg))
+    assert all(precedes_b(a, b) for a, b in zip(chain, chain[1:]))
+    if kind in ("far", "chain"):
+        assert _leaves_room(comp, cfg)
+    if _leaves_room(comp, cfg):
+        assert all(precedes_b(a, c) for a, c in zip(chain, chain[2:]))
 
 
 # -- extrema found on first use ----------------------------------------------------

@@ -1,5 +1,6 @@
 """Scenario parsing and CLI behavior: exit codes, replay, stats."""
 
+import dataclasses
 import os
 
 import pytest
@@ -262,23 +263,6 @@ class TestCli:
         assert (tmp_path / "case1.trace").exists()
 
 
-# C4's seed 32004 as a scenario: it never converges (restarts continue to
-# the end), yet its legal segments and final state pass their checks.
-C4_SEED_32004 = """
-n = 4
-c = 2
-maxint = 64
-steps = 200000
-seed = 32004
-scheduler = random
-increment_rate = 0.05
-checks = converged,segments,global_inv
-[faults]
-transient_seed = 32004
-transient_scope = all
-"""
-
-
 class TestConvergedCheck:
     def test_clean_run_converges(self, tmp_path):
         path = tmp_path / "clean.scenario"
@@ -286,8 +270,24 @@ class TestConvergedCheck:
         assert main(["run", str(path), "--out", str(tmp_path), "--checks",
                      "req1,causal,segments,global_inv,local_inv,converged"]) == EXIT_OK
 
-    def test_c4_seed_32004_fails_converged_only(self):
-        _world, trace, _summary, failures = execute_scenario(parse_scenario(C4_SEED_32004))
+    def test_c4_seed_32004_converges(self):
+        # C4's seed 32004 restarted until step 189,794 before the successor
+        # chain's overflow trim kept each successor above its parent.
+        scenario = load_scenario(os.path.join(TestBundledScenarios.BUNDLE, "regress",
+                                              "c4_32004.scenario"))
+        assert "converged" in scenario.checks
+        scenario = dataclasses.replace(scenario, checks=("converged",))
+        _world, trace, _summary, failures = execute_scenario(scenario)
+        assert failures == []
+        last = max(e.step for e in trace.by_kind("restart_local"))
+        assert last < trace.steps // 2
+
+    def test_late_restart_fails_converged_in_one_line(self):
+        # After the undetectable restart at step 700, restart_local runs at
+        # steps 708-751, in the final half of 1000 steps.
+        scenario = parse_scenario(GOOD.replace("steps = 300", "steps = 1000").replace(
+            "checks = all", "checks = converged\n[faults]\ncrash = 2@300\nrestart = 2@700"))
+        _world, trace, _summary, failures = execute_scenario(scenario)
         last = max(e.step for e in trace.by_kind("restart_local"))
         assert last >= trace.steps // 2
         assert len(failures) == 1 and "\n" not in failures[0]
