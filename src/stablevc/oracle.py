@@ -27,6 +27,7 @@ from .vcpair import (
     exists_overlap,
     legit_pairs,
     pair_invar,
+    vc,
 )
 
 FULL_DENSITY_LIMIT = 100_000  # runs at most this long are checked exhaustively
@@ -295,13 +296,20 @@ def check_causal(tracker: ShadowTracker, segments: List[Tuple[int, int]],
     Sample pairs are drawn inside legal segments, within windows spanning at
     most one wrap-around event in total, so a common reference item exists by
     construction.  ``revive_steps`` must be sorted.
+
+    Each draw is ``Random._randbelow(n)`` spelled out, ``getrandbits`` until
+    a value below n, so the samples are those of ``choice`` and
+    ``randrange`` without their call frames.  Pairs with equal static parts
+    (most samples) share both items and so count events since their current
+    one: each snapshot's vector clock value is computed once per audit.
     """
-    rng = random.Random(seed)
-    # choice(seq) draws as seq[randrange(len(seq))] does, with one call less.
-    randrange, choice = rng.randrange, rng.choice
+    getrandbits = random.Random(seed).getrandbits
     procs = list(tracker.config.proc_ids)
+    nprocs = len(procs)
+    pbits = nprocs.bit_length()
     snap_steps, snap_pairs = tracker.snap_steps, tracker.snap_pairs
     snap_shadows = tracker.snap_shadows
+    vcs: Dict[int, List[int]] = {}  # id(snapshot) -> vc(snapshot)
     violations: List[Violation] = []
     for start, end in segments:
         if end <= start:
@@ -309,28 +317,57 @@ def check_causal(tracker: ShadowTracker, segments: List[Tuple[int, int]],
         cuts = revive_steps[bisect_left(revive_steps, start):
                             bisect_right(revive_steps, end)]
         windows = _split_windows(start, end, cuts)
+        nwin = len(windows)
+        wbits = nwin.bit_length()
         for _ in range(samples_per_segment):
-            lo, hi = choice(windows)
-            if hi - lo < 2:
+            r = getrandbits(wbits)
+            while r >= nwin:
+                r = getrandbits(wbits)
+            lo, hi = windows[r]
+            span = hi - lo
+            if span < 2:
                 continue
-            pi = choice(procs)
-            pj = choice(procs)
-            sx = lo + randrange(hi - lo)
-            sy = lo + randrange(hi - lo)
+            r = getrandbits(pbits)
+            while r >= nprocs:
+                r = getrandbits(pbits)
+            pi = procs[r]
+            r = getrandbits(pbits)
+            while r >= nprocs:
+                r = getrandbits(pbits)
+            pj = procs[r]
+            sbits = span.bit_length()
+            sx = getrandbits(sbits)
+            while sx >= span:
+                sx = getrandbits(sbits)
+            sy = getrandbits(sbits)
+            while sy >= span:
+                sy = getrandbits(sbits)
+            sx += lo
+            sy += lo
             xi = bisect_right(snap_steps[pi], sx) - 1
             yi = bisect_right(snap_steps[pj], sy) - 1
             if xi < 0 or yi < 0:
                 continue
             zi, zj = snap_pairs[pi][xi], snap_pairs[pj][yi]
-            pivot = exists_overlap(zi, zj)
-            if pivot is None:
-                # The precedence formula is defined through the common item;
-                # without one it reports "not preceding" by construction
-                # (e.g. a superseded wrap variant against the next era), so
-                # there is no verdict to audit.
-                continue
+            if equal_static(zi, zj):
+                # The pivot is both current items: events since it are vc.
+                left = vcs.get(id(zi))
+                if left is None:
+                    left = vcs[id(zi)] = vc(zi)
+                right = vcs.get(id(zj))
+                if right is None:
+                    right = vcs[id(zj)] = vc(zj)
+                got = left != right and all(map(le, left, right))
+            else:
+                pivot = exists_overlap(zi, zj)
+                if pivot is None:
+                    # The precedence formula is defined through the common
+                    # item; without one it reports "not preceding" by
+                    # construction (e.g. a superseded wrap variant against
+                    # the next era), so there is no verdict to audit.
+                    continue
+                got = causal_precedence(zi, zj, pivot)
             expected = _shadow_hb(snap_shadows[pi][xi], snap_shadows[pj][yi])
-            got = causal_precedence(zi, zj, pivot)
             if got != expected:
                 violations.append(Violation(
                     "causal", sy, pj,

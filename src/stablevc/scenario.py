@@ -13,6 +13,7 @@ from typing import Dict, List, Optional, Tuple
 from .errors import PreconditionViolated, ScenarioError
 from .labeling import SystemConfig
 from .simnet import FaultPlan, RandomScheduler, RoundRobinScheduler, Scheduler, World
+from .trace import read_text_file
 
 DEFAULT_CHECKS = ("req1", "causal", "segments", "global_inv", "local_inv")
 # Checks that ``all`` leaves out; a file or ``--checks`` must name them.
@@ -184,12 +185,14 @@ def parse_scenario(text: str, origin: str = "<scenario>") -> Scenario:
 
 
 def parse_checks(raw: str, origin: str) -> Tuple[str, ...]:
-    """The checks a ``checks`` value names: ``all``, ``none`` or a comma list."""
-    if raw == "all":
-        return DEFAULT_CHECKS
+    """The checks a ``checks`` value names: ``none`` or a comma list, in
+    which ``all`` stands for the default checks.  Each name is kept once,
+    where it first appears."""
     if raw == "none":
         return ()
-    checks = tuple(part.strip() for part in raw.split(",") if part.strip())
+    parts = [part.strip() for part in raw.split(",")]
+    checks = tuple(dict.fromkeys(name for part in parts if part
+                                 for name in (DEFAULT_CHECKS if part == "all" else (part,))))
     unknown = set(checks) - set(DEFAULT_CHECKS) - set(OPT_IN_CHECKS)
     if unknown:
         raise ScenarioError(f"{origin}: unknown checks {sorted(unknown)}")
@@ -197,13 +200,7 @@ def parse_checks(raw: str, origin: str) -> Tuple[str, ...]:
 
 
 def load_scenario(path: str) -> Scenario:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        reason = getattr(exc, "strerror", None) or exc  # an OSError's text repeats the path
-        raise ScenarioError(f"{path}: cannot read: {reason}") from exc
-    return parse_scenario(text, origin=path)
+    return parse_scenario(read_text_file(path), origin=path)
 
 
 def _parse_proc_steps(value: str, origin: str) -> Dict[int, int]:

@@ -105,6 +105,17 @@ class Trace:
                 fh.write(event.render() + "\n")
 
 
+def read_text_file(path: str) -> str:
+    """A UTF-8 file's text; ScenarioError ``<path>: cannot read: <reason>``
+    if it is unreadable or not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc  # an OSError's text repeats the path
+        raise ScenarioError(f"{path}: cannot read: {reason}") from exc
+
+
 def read_trace_file(path: str) -> Tuple[str, List[str], Optional[int]]:
     """Split a trace file into (embedded scenario text, event lines, the
     ``#steps`` header value or None when there is none).
@@ -112,11 +123,7 @@ def read_trace_file(path: str) -> Tuple[str, List[str], Optional[int]]:
     Raises ScenarioError on an unreadable or non-UTF-8 file, a missing or
     mismatched version header, or a malformed ``#steps`` header.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ScenarioError(f"cannot read {path}: {exc}") from exc
+    lines = read_text_file(path).splitlines()
     if not lines or lines[0] != f"#{TRACE_VERSION}":
         raise ScenarioError(f"{path}: missing or unsupported trace header")
     scenario_lines: List[str] = []

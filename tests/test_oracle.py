@@ -4,9 +4,12 @@ import bisect
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import stablevc.oracle
 from stablevc.labeling import SystemConfig
+from stablevc.labels import Label, LabelComponent
 from stablevc.oracle import (
     FULL_DENSITY_LIMIT,
     ExecutionStats,
@@ -35,6 +38,7 @@ from stablevc.simnet import (
 )
 from stablevc.trace import Trace, TraceEvent, format_pair
 from stablevc.vcpair import (
+    VectorClockPair,
     causal_precedence,
     equal_static,
     event_count_query,
@@ -502,3 +506,76 @@ class TestAuditEquivalence:
             for lo in range(0, trace.steps, 37):
                 tracker.static_changes_between(proc, lo, lo + 509)
         assert calls == []
+
+
+# -- the causal audit's draws and vc shortcut -------------------------------------------
+
+
+def _draw_below(getrandbits, n):
+    """check_causal's draw rule: getrandbits(n.bit_length()) until below n."""
+    bits = n.bit_length()
+    r = getrandbits(bits)
+    while r >= n:
+        r = getrandbits(bits)
+    return r
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 2**40))
+@example(seed=0, n=1)
+@example(seed=1, n=2**32 + 1)
+@example(seed=2, n=2**40)
+def test_audit_draw_rule_matches_choice_and_randrange(seed, n):
+    ours, by_choice, by_randrange = (random.Random(seed) for _ in range(3))
+    for _ in range(5):
+        drawn = _draw_below(ours.getrandbits, n)
+        assert drawn == by_choice.choice(range(n)) == by_randrange.randrange(n)
+    assert ours.getstate() == by_choice.getstate() == by_randrange.getstate()
+
+
+class TestCausalShortcut:
+    """Pairs with equal static parts compare vc lists kept per snapshot
+    object; every other pivot goes through causal_precedence."""
+
+    @staticmethod
+    def _tracker(seed):
+        rng = random.Random(seed)
+        la, lb, lc = (Label(1, LabelComponent(s, frozenset({s + 10}))) for s in (1, 2, 3))
+        maxint = CFG.maxint
+
+        def vector():
+            return [rng.randrange(maxint) for _ in range(CFG.n)]
+
+        mid, other, prev_o = vector(), vector(), vector()
+        statics = [
+            (la, mid, lb, mid),           # mid equals prev_o, prev label differs
+            (la, list(mid), lb, mid),     # the same static part in other lists
+            (lb, mid, lc, prev_o),        # shares the first's prev item as curr
+            (lc, other, la, mid),         # shares the first's curr item as prev
+            (la, mid, lb, prev_o),        # no common item with the first
+        ]
+        tracker = ShadowTracker(CFG)
+        for proc in CFG.proc_ids:
+            pairs = []
+            for _ in range(40):
+                if pairs and rng.random() < 0.3:
+                    pairs.append(pairs[rng.randrange(len(pairs))])  # a repeated snapshot
+                    continue
+                curr, m, prev, o = statics[rng.randrange(len(statics))]
+                pairs.append(VectorClockPair(curr, vector(), m, prev, o, maxint))
+            tracker.snap_steps[proc] = list(range(0, 200, 5))
+            tracker.snap_pairs[proc] = pairs
+            tracker.snap_shadows[proc] = [[rng.randrange(3) for _ in range(CFG.n)]
+                                          for _ in pairs]
+        return tracker
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_same_violations_as_reference(self, seed):
+        tracker = self._tracker(seed)
+        for revive_steps in ([], [70, 140]):
+            ours = check_causal(tracker, [(0, 199)], revive_steps, seed=seed,
+                                samples_per_segment=300)
+            ref = ref_check_causal(tracker, [(0, 199)], revive_steps, seed=seed,
+                                   samples_per_segment=300)
+            assert ours == ref
+            assert ref  # random shadows: the verdicts disagree somewhere

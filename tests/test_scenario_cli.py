@@ -130,6 +130,19 @@ class TestParsing:
         assert scenario.checks == ("segments", "converged")
         assert parse_scenario(scenario.to_text()).checks == scenario.checks
 
+    def test_all_combines_with_other_checks(self):
+        everything = ("req1", "causal", "segments", "global_inv", "local_inv")
+        for value, checks in (("all,converged", everything + ("converged",)),
+                              ("converged, all", ("converged",) + everything),
+                              ("segments,all,req1,segments", ("segments", "req1", "causal",
+                                                              "global_inv", "local_inv")),
+                              ("all,all", everything)):
+            scenario = parse_scenario(GOOD.replace("checks = all", f"checks = {value}"))
+            assert scenario.checks == checks
+            assert parse_scenario(scenario.to_text()).checks == checks
+        with pytest.raises(ScenarioError, match=r"unknown checks \['nope'\]"):
+            parse_scenario(GOOD.replace("checks = all", "checks = all,nope"))
+
 
 class TestCli:
     def _write(self, tmp_path, text, name="case.scenario"):
@@ -220,6 +233,14 @@ class TestCli:
         utf16.write_bytes(b"\xff\xfe" + "#stablevc-trace v1\n".encode("utf-16-le"))
         assert main(["replay", str(utf16)]) == EXIT_CONFIG_ERROR
         assert len(capsys.readouterr().err.splitlines()) == 1
+
+    def test_unreadable_trace_names_its_path_once(self, tmp_path, capsys):
+        missing = str(tmp_path / "nope.trace")
+        for command in ("replay", "stats"):
+            capsys.readouterr()
+            assert main([command, missing]) == EXIT_CONFIG_ERROR
+            err = capsys.readouterr().err
+            assert err == f"{command}: error: {missing}: cannot read: No such file or directory\n"
 
     def test_stats_command(self, tmp_path, capsys):
         path = self._write(tmp_path, GOOD)
