@@ -34,15 +34,14 @@ EXIT_CONFIG_ERROR = 2
 
 
 def execute_scenario(scenario: Scenario):
-    """Build, run, and check one scenario; returns (world, trace, failures)."""
+    """Build, run, and check one scenario; returns (world, trace, summary,
+    failures), ``summary`` being the run's ``ExecutionStats``."""
     world = scenario.build_world()
     scheduler = scenario.build_scheduler()
     observers: List[object] = []
     tracker: Optional[ShadowTracker] = None
     monitor: Optional[InvariantMonitor] = None
-    wants_shadow = ("req1" in scenario.checks or "causal" in scenario.checks) \
-        and scenario.faults.transient_seed is None
-    if wants_shadow:
+    if "req1" in scenario.checks or "causal" in scenario.checks:
         tracker = ShadowTracker(scenario.system_config())
         observers.append(tracker)
     if "local_inv" in scenario.checks:
@@ -69,22 +68,21 @@ def execute_scenario(scenario: Scenario):
     if monitor is not None and monitor.violations:
         failures.append(f"local_inv: {len(monitor.violations)} handler states "
                         f"violate the local invariants")
-    if tracker is not None:
-        if "req1" in scenario.checks:
-            restart_steps: dict = {}
-            for event in trace.by_kind("restart_local"):
-                restart_steps.setdefault(event.proc, []).append(event.step)
-            bad = check_requirement1(tracker, trace.steps, restart_steps,
-                                     seed=scenario.seed)
-            bad.extend(tracker.merge_violations)
-            if bad:
-                failures.append(f"req1: {len(bad)} counting violations")
-        if "causal" in scenario.checks:
-            revive_steps = sorted(e.step for e in trace.by_kind("revive"))
-            bad = check_causal(tracker, summary.legal_segments, revive_steps,
-                               seed=scenario.seed)
-            if bad:
-                failures.append(f"causal: {len(bad)} precedence violations")
+    if "req1" in scenario.checks:
+        restart_steps: dict = {}
+        for event in trace.by_kind("restart_local"):
+            restart_steps.setdefault(event.proc, []).append(event.step)
+        bad = check_requirement1(tracker, trace.steps, restart_steps,
+                                 seed=scenario.seed)
+        bad.extend(tracker.merge_violations)
+        if bad:
+            failures.append(f"req1: {len(bad)} counting violations")
+    if "causal" in scenario.checks:
+        revive_steps = sorted(e.step for e in trace.by_kind("revive"))
+        bad = check_causal(tracker, summary.legal_segments, revive_steps,
+                           seed=scenario.seed)
+        if bad:
+            failures.append(f"causal: {len(bad)} precedence violations")
     return world, trace, summary, failures
 
 
@@ -98,7 +96,8 @@ def _run_one(args) -> int:
             seed=scenario.seed if seed_override is None else seed_override,
             steps=scenario.steps if steps_override is None else steps_override,
             checks=(scenario.checks if checks_override is None
-                    else parse_checks(checks_override, "--checks")))
+                    else parse_checks(checks_override, "--checks",
+                                      scenario.faults.transient_seed is not None)))
         _world, trace, summary, failures = execute_scenario(scenario)
     except (ScenarioError, StableVCError, OSError) as exc:
         print(_error_line(path, str(exc)), file=sys.stderr)

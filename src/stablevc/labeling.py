@@ -97,8 +97,7 @@ class LabelingState:
     """
 
     __slots__ = ("self_id", "cfg", "label_cfg", "capacity", "max", "stored",
-                 "ready", "_dirty", "_mint_cache", "created_log",
-                 "stamp")
+                 "ready", "_dirty", "created_log", "stamp")
 
     def __init__(self, self_id: int, cfg: SystemConfig):
         self.self_id = self_id
@@ -109,10 +108,6 @@ class LabelingState:
         self.stored: List[List[Label]] = [[] for _ in range(cfg.n + 1)]
         self.ready = False  # set by the first bookkeeping pass
         self._dirty = True
-        # Per-creator (stings, blocked) unions over the queue's components,
-        # kept incrementally so fresh-label creation avoids re-unioning
-        # hundreds of k-element antistings sets.  None means stale.
-        self._mint_cache: List[Optional[tuple]] = [None] * (cfg.n + 1)
         self.created_log: List[Label] = []
         self.stamp = next(_stamps)
 
@@ -180,7 +175,6 @@ class LabelingState:
                     and entry.creator == creator:
                 if entry.cl is None and label.cl is not None:
                     entry = entry.with_cancel(label.cl)
-                    self._cache_add(label.creator, None, label.cl)
                     self._dirty = True
                 if idx == 1:
                     queue[1] = queue[0]
@@ -191,10 +185,8 @@ class LabelingState:
                 queue[0] = entry
                 return entry
         queue.insert(0, label)
-        self._cache_add(label.creator, label.ml, label.cl)
         if len(queue) > self.capacity:
             queue.pop()
-            self._mint_cache[label.creator] = None
         self._dirty = True
         return label
 
@@ -205,21 +197,10 @@ class LabelingState:
             if eq_m(label, entry):
                 if entry.cl is None:
                     queue[idx] = entry.with_cancel(evidence)
-                    self._cache_add(label.creator, None, evidence)
                     if self.max[self.self_id] is not None and eq_m(entry, self.max[self.self_id]):
                         self.max[self.self_id] = queue[idx]
                     self._dirty = True
                 return
-
-    def _cache_add(self, creator: int, ml, cl) -> None:
-        cached = self._mint_cache[creator]
-        if cached is None:
-            return
-        stings, blocked = cached
-        for comp in (ml, cl):
-            if comp is not None:
-                stings.add(comp.sting)
-                blocked |= comp.antistings
 
     # -- the seven-function interface ------------------------------------------
 
@@ -322,7 +303,6 @@ class LabelingState:
                 if entry.creator != j or ml in seen \
                         or (ml.valid_k != k and not ml.valid_under(label_cfg)):
                     self.stored = [[] for _ in range(self.cfg.n + 1)]
-                    self._mint_cache = [None] * (self.cfg.n + 1)
                     return
                 seen.add(ml)
 
@@ -350,27 +330,32 @@ class LabelingState:
                         canceled[idx] = b.with_cancel(a.ml)
             for idx, replacement in canceled.items():
                 queue[idx] = replacement
-                self._cache_add(j, None, replacement.cl)
                 self._dirty = True
 
-    def _legitimate_labels(self) -> List[Label]:
-        return [entry for j in self.cfg.proc_ids for entry in self.stored[j] if entry.cl is None]
+    def _greatest_legitimate(self) -> Optional[Label]:
+        """The greatest stored legitimate label, or None: a scan in creator
+        and queue order keeps its pick unless a later label lies above it."""
+        best = None
+        for j in self.cfg.proc_ids:
+            for entry in self.stored[j]:
+                if entry.cl is None and (best is None or precedes_lb(best, entry)):
+                    best = entry
+        return best
 
     def _select_max(self) -> None:
         """Adopt the greatest legitimate label, or mint a fresh one (own creator)."""
-        candidates = self._legitimate_labels()
-        if candidates:
-            best = candidates[0]
-            for cand in candidates[1:]:
-                if precedes_lb(best, cand):
-                    best = cand
-            self.max[self.self_id] = best
-            return
-        self.max[self.self_id] = self._mint(self.self_id)
+        best = self._greatest_legitimate()
+        self.max[self.self_id] = best if best is not None else self._mint(self.self_id)
 
     def _mint(self, creator: int) -> Label:
         """Create, log, and store a label above every stored label of ``creator``."""
-        stings, blocked = self._mint_sets(creator)
+        stings: set = set()
+        blocked: set = set()
+        for entry in self.stored[creator]:
+            for comp in (entry.ml, entry.cl):
+                if comp is not None:
+                    stings.add(comp.sting)
+                    blocked |= comp.antistings
         fresh = Label(creator, next_b_from_sets(stings, blocked, self.label_cfg))
         self.created_log.append(fresh)
         return self._enqueue(fresh)
@@ -386,10 +371,7 @@ class LabelingState:
         mid-wrap.  Every processor derives the same successor from the same
         epoch, so concurrent wrap-arounds cannot cancel each other.
         """
-        best = None
-        for candidate in self._legitimate_labels():
-            if best is None or precedes_lb(best, candidate):
-                best = candidate
+        best = self._greatest_legitimate()
         if (best is None or not precedes_lb(curr_label, best)) \
                 and 1 <= curr_label.creator <= self.cfg.n:
             fresh = Label(curr_label.creator,
@@ -399,27 +381,10 @@ class LabelingState:
             self._dirty = True
         self.label_bookkeeping()
 
-    def _mint_sets(self, creator: int) -> tuple:
-        cached = self._mint_cache[creator]
-        if cached is None:
-            stings: set = set()
-            blocked: set = set()
-            for entry in self.stored[creator]:
-                stings.add(entry.ml.sting)
-                blocked |= entry.ml.antistings
-                if entry.cl is not None:
-                    stings.add(entry.cl.sting)
-                    blocked |= entry.cl.antistings
-            cached = (stings, blocked)
-            self._mint_cache[creator] = cached
-        return cached
-
     # -- introspection -----------------------------------------------------------
 
     def drain_created(self) -> List[Label]:
         """Labels minted since the last drain (for trace events)."""
-        if not self.created_log:
-            return []
         out = self.created_log
         self.created_log = []
         return out

@@ -212,8 +212,8 @@ def next_b(inputs: Iterable[LabelComponent], cfg: LabelConfig) -> LabelComponent
 def next_b_from_sets(stings: Set[int], blocked: Set[int], cfg: LabelConfig) -> LabelComponent:
     """next_b over precomputed input stings and the union of input antistings.
 
-    Split out so label storage can keep the union incrementally instead of
-    rebuilding it at every creation.
+    Split out so label storage can union its queue's components directly,
+    without building the component set that ``next_b`` deduplicates.
     """
     domain = range(1, cfg.domain_size + 1)
     sting = next(filterfalse(stings.__contains__, filterfalse(blocked.__contains__, domain)), None)

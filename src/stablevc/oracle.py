@@ -25,6 +25,7 @@ from .vcpair import (
     equal_static,
     event_count_query,
     exists_overlap,
+    happened_before,
     legit_pairs,
     pair_invar,
     vc,
@@ -367,7 +368,7 @@ def check_causal(tracker: ShadowTracker, segments: List[Tuple[int, int]],
                     # the next era), so there is no verdict to audit.
                     continue
                 got = causal_precedence(zi, zj, pivot)
-            expected = _shadow_hb(snap_shadows[pi][xi], snap_shadows[pj][yi])
+            expected = happened_before(snap_shadows[pi][xi], snap_shadows[pj][yi])
             if got != expected:
                 violations.append(Violation(
                     "causal", sy, pj,
@@ -383,10 +384,6 @@ def _split_windows(start: int, end: int, cuts: List[int]) -> List[Tuple[int, int
         hi = bounds[i + 2] if i + 2 < len(bounds) else end
         windows.append((bounds[i], hi))
     return windows or [(start, end)]
-
-
-def _shadow_hb(a: List[int], b: List[int]) -> bool:
-    return a != b and all(map(le, a, b))
 
 
 def _count_in(sorted_steps: List[int], lo: int, hi: int) -> int:
@@ -421,63 +418,50 @@ class ExecutionStats:
 def find_legal_segments(trace: Trace) -> List[Tuple[int, int]]:
     """Maximal step intervals with no restart and at most one wrap per processor.
 
-    Returned as inclusive [start, end] step ranges.  Their maximum length is
-    at least steps/(b_restart + b_revive + 1) by the pigeonhole principle.
+    Returned as inclusive [start, end] step ranges in increasing order of
+    both ends; consecutive segments may overlap.  Their maximum length is at
+    least steps/(b_restart + b_revive + 1) by the pigeonhole principle.
     """
     faults = []  # (step, is_revive, proc) ordered; restarts sort first per step
     for event in trace.events:
         if event.kind == "restart_local":
-            faults.append((event.step, 0, None))
+            faults.append((event.step, 0, 0))
         elif event.kind == "revive":
             faults.append((event.step, 1, event.proc))
     faults.sort()
-    total = trace.steps
-    if total <= 0:
-        return []
 
     segments: List[Tuple[int, int]] = []
-    left = 0
-    window: List[Tuple[int, int]] = []  # (step, proc) of revives in the window
-    revive_count: Dict[int, int] = {}
-    idx = 0
-    while idx <= len(faults):
-        if idx == len(faults):
-            segments.append((left, total - 1))
-            break
-        step, _, proc = faults[idx]
-        if proc is None:
-            # A restart: the segment must end right before this step.
+    left = 0  # start of the segment under construction; only moves forward
+    last_revive: Dict[int, int] = {}
+    for step, is_revive, proc in faults:
+        if not is_revive:
             if step > left:
                 segments.append((left, step - 1))
             left = step + 1
-            window.clear()
-            revive_count.clear()
-        else:
-            revive_count[proc] = revive_count.get(proc, 0) + 1
-            window.append((step, proc))
-            if revive_count[proc] > 1:
-                # Close the maximal segment that ends just before this revive.
+        elif step >= left:  # a revive in a restart's own step is outside
+            previous = last_revive.get(proc, -1)
+            if previous >= left:
+                # A second wrap of this processor: the segment ends before
+                # it, and the next one starts after its first wrap.
                 segments.append((left, step - 1))
-                # Slide past this processor's previous revive.
-                for w_step, w_proc in window:
-                    if w_proc == proc:
-                        left = w_step + 1
-                        break
-                while window and window[0][0] < left:
-                    w_step, w_proc = window.pop(0)
-                    revive_count[w_proc] -= 1
-        idx += 1
-    return [(lo, hi) for lo, hi in segments if hi >= lo]
+                left = previous + 1
+            last_revive[proc] = step
+    if left < trace.steps:
+        segments.append((left, trace.steps - 1))
+    return segments
 
 
 def stats(trace: Trace) -> ExecutionStats:
     """Aggregate a trace into counters, legal segments, and the deviation count.
 
     A state counts as deviating (f_r) when it lies outside every legal
-    segment.
+    segment.  Segments overlap, so f_r counts what their union leaves out.
     """
     segments = find_legal_segments(trace)
-    covered = sum(hi - lo + 1 for lo, hi in segments)
+    covered, reach = 0, -1  # reach: the last step covered so far
+    for lo, hi in segments:
+        covered += hi - max(lo, reach + 1) + 1
+        reach = hi
     return ExecutionStats(
         steps=trace.steps,
         b_restart=trace.count("restart_local"),

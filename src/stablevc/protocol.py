@@ -69,28 +69,21 @@ class StepNotes:
     __slots__ = ("increments", "revives", "restarts", "restart_cause",
                  "new_labels", "ignored", "merged")
 
-    def __init__(self):
+    def __init__(self, ignored: Optional[str] = None, merged: bool = False):
         self.increments = 0
         self.revives = 0
         self.restarts = 0
         self.restart_cause: Optional[str] = None  # "line8" | "receive"
         self.new_labels: List[Label] = []
-        self.ignored: Optional[str] = None  # failing guard conjunct on a drop
-        self.merged = False
-
-
-def _shared_notes(**fields) -> StepNotes:
-    notes = StepNotes()
-    for name, value in fields.items():
-        setattr(notes, name, value)
-    return notes
+        self.ignored = ignored  # failing guard conjunct on a drop
+        self.merged = merged
 
 
 # Shared records for the outcomes that carry nothing else, so the common
 # steps allocate none.
-_NO_NOTES = _shared_notes()
-_MERGED = _shared_notes(merged=True)
-_IGNORED = {guard: _shared_notes(ignored=guard)
+_NO_NOTES = StepNotes()
+_MERGED = StepNotes(merged=True)
+_IGNORED = {guard: StepNotes(ignored=guard)
             for guard in ("equal_static", "legit_msg", "pair_invar")}
 QUIET_NOTES = frozenset([_NO_NOTES, _MERGED, *_IGNORED.values()])
 

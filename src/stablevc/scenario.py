@@ -16,6 +16,11 @@ from .simnet import FaultPlan, RandomScheduler, RoundRobinScheduler, Scheduler, 
 from .trace import read_text_file
 
 DEFAULT_CHECKS = ("req1", "causal", "segments", "global_inv", "local_inv")
+# Checks that compare against the fault-free shadow baseline, which a run
+# corrupted at step 0 has not got; such a run must not name them.
+SHADOW_CHECKS = ("req1", "causal")
+# What ``all`` stands for on a run with a transient fault.
+TRANSIENT_CHECKS = ("segments", "global_inv")
 # Checks that ``all`` leaves out; a file or ``--checks`` must name them.
 OPT_IN_CHECKS = ("converged",)
 # Keys a file may give, once each; ``increment_rate.<p>`` is also a plain key.
@@ -56,6 +61,11 @@ class Scenario:
                 raise ScenarioError(f"bad channel {src}>{dst}")
         if self.scheduler not in ("round_robin", "random"):
             raise ScenarioError(f"unknown scheduler {self.scheduler!r}")
+        if faults.transient_seed is not None:
+            named = [name for name in SHADOW_CHECKS if name in self.checks]
+            if named:
+                raise ScenarioError(f"checks {','.join(named)} need a fault-free start, "
+                                    f"and transient_seed is set")
 
     # -- construction of runnable objects ----------------------------------------
 
@@ -147,6 +157,7 @@ def parse_scenario(text: str, origin: str = "<scenario>") -> Scenario:
         return plain[key]
 
     try:
+        transient_seed = int(faults["transient_seed"]) if "transient_seed" in faults else None
         rate_overrides = {}
         for key, value in plain.items():
             if key.startswith("increment_rate."):
@@ -165,10 +176,10 @@ def parse_scenario(text: str, origin: str = "<scenario>") -> Scenario:
             increment_rate=float(plain.get("increment_rate", "0.0")),
             rate_overrides=rate_overrides,
             k_override=int(plain["k"]) if "k" in plain else None,
-            checks=parse_checks(plain.get("checks", "all"), origin),
+            checks=parse_checks(plain.get("checks", "all"), origin,
+                                transient=transient_seed is not None),
             faults=FaultPlan(
-                transient_seed=(int(faults["transient_seed"])
-                                if "transient_seed" in faults else None),
+                transient_seed=transient_seed,
                 transient_scope=faults.get("transient_scope", "all"),
                 crash_at=_parse_proc_steps(faults.get("crash", ""), origin),
                 restart_at=_parse_proc_steps(faults.get("restart", ""), origin),
@@ -184,15 +195,17 @@ def parse_scenario(text: str, origin: str = "<scenario>") -> Scenario:
         raise ScenarioError(f"{origin}: {exc}") from exc
 
 
-def parse_checks(raw: str, origin: str) -> Tuple[str, ...]:
+def parse_checks(raw: str, origin: str, transient: bool = False) -> Tuple[str, ...]:
     """The checks a ``checks`` value names: ``none`` or a comma list, in
-    which ``all`` stands for the default checks.  Each name is kept once,
-    where it first appears."""
+    which ``all`` stands for the default checks, or for those a
+    ``transient`` run supports.  Each name is kept once, where it first
+    appears."""
     if raw == "none":
         return ()
+    everything = TRANSIENT_CHECKS if transient else DEFAULT_CHECKS
     parts = [part.strip() for part in raw.split(",")]
     checks = tuple(dict.fromkeys(name for part in parts if part
-                                 for name in (DEFAULT_CHECKS if part == "all" else (part,))))
+                                 for name in (everything if part == "all" else (part,))))
     unknown = set(checks) - set(DEFAULT_CHECKS) - set(OPT_IN_CHECKS)
     if unknown:
         raise ScenarioError(f"{origin}: unknown checks {sorted(unknown)}")

@@ -9,11 +9,12 @@ arithmetic happens in [0, MAXINT); lifted sums use plain Python ints.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from operator import le
 from typing import List, Optional
 
 from .errors import NoPivot
-from .labels import Label, eq_m, precedes_lb, preceq_lb
+from .labels import Label, eq_m, incomparable, precedes_lb, preceq_lb
 
 
 @dataclass
@@ -275,23 +276,8 @@ def pair_invar(pair: VectorClockPair) -> bool:
 
 def comparable_labels(pairs) -> bool:
     """Every two labels across the pairs are related under the label order."""
-    labels: List[Label] = []
-    for pair in pairs:
-        labels.append(pair.curr_label)
-        labels.append(pair.prev_label)
-    for i in range(len(labels)):
-        a = labels[i]
-        for j in range(i + 1, len(labels)):
-            b = labels[j]
-            if a is b or a.creator != b.creator or a.ml is b.ml:
-                continue  # distinct creators are always creator-ordered
-            if a.ml == b.ml:
-                continue
-            sa, sb = a.ml.sting, b.ml.sting
-            if not ((sa in b.ml.antistings and sb not in a.ml.antistings)
-                    or (sb in a.ml.antistings and sa not in b.ml.antistings)):
-                return False
-    return True
+    labels = [label for pair in pairs for label in (pair.curr_label, pair.prev_label)]
+    return not any(incomparable(a, b) for a, b in combinations(labels, 2))
 
 
 def legit_pairs(a: VectorClockPair, b: VectorClockPair) -> Optional[Pivot]:
@@ -331,14 +317,18 @@ def event_count_query(zx: VectorClockPair, zy: VectorClockPair,
     return None
 
 
+def happened_before(a: List[int], b: List[int]) -> bool:
+    """Vector order: ``a`` is dominated by ``b`` entrywise and differs."""
+    return a != b and all(map(le, a, b))
+
+
 def causal_precedence(z: VectorClockPair, zp: VectorClockPair,
                       pivot: Optional[Pivot] = None) -> bool:
-    """True when z's counted events are dominated by zp's with one strict gap
+    """True when z's counted events happened before zp's
     (``pivot``: ``exists_overlap`` of the pairs, if the caller has it)."""
     if pivot is None:
         pivot = exists_overlap(z, zp)
         if pivot is None:
             return False
-    left = _events_since(z, pivot.label, pivot.vector)
-    right = _events_since(zp, pivot.label, pivot.vector)
-    return left != right and all(map(le, left, right))
+    return happened_before(_events_since(z, pivot.label, pivot.vector),
+                           _events_since(zp, pivot.label, pivot.vector))

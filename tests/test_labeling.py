@@ -234,9 +234,9 @@ class TestCapacity:
             state._enqueue(Label(2, LabelComponent(i % CFG.label_config.domain_size + 1, anti)))
         assert len(state.stored[2]) == cap
 
-    def test_mint_cache_matches_public_next_label(self):
-        # Dual route: the incremental mint sets must reproduce next_label over
-        # the same queue exactly.
+    def test_mint_matches_public_next_label(self):
+        # Dual route: minting from the stored queue must reproduce next_label
+        # over the same queue exactly.
         rng = random.Random(11)
         state = fresh_state(2)
         k = CFG.label_config.k

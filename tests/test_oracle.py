@@ -18,7 +18,6 @@ from stablevc.oracle import (
     Violation,
     _count_in,
     _sample_pairs,
-    _shadow_hb,
     _split_windows,
     check_causal,
     check_requirement1,
@@ -43,6 +42,7 @@ from stablevc.vcpair import (
     equal_static,
     event_count_query,
     exists_overlap,
+    happened_before,
     vc,
 )
 
@@ -283,6 +283,49 @@ class TestLegalSegments:
         b_revive = len(events) - b_restart
         assert longest >= 500 // (b_restart + b_revive + 1)
 
+    def test_revive_in_a_restart_step_is_outside(self):
+        # The "revive, then line-8 restart" shape: the revive at step 5 lies
+        # in no segment, so the revives at 12 and 20 bound only one each.
+        trace = _trace_with(30, [(5, 2, "revive"), (5, 2, "restart_local"),
+                                 (12, 2, "revive"), (20, 2, "revive")])
+        assert find_legal_segments(trace) == [(0, 4), (6, 19), (13, 29)]
+
+
+def _brute_segments(steps, restarts, revives):
+    """Every maximal [lo, hi] with no restart and at most one revive per
+    processor, found by testing every interval (the docstring's definition)."""
+    def legal(lo, hi):
+        if lo < 0 or hi >= steps or any(lo <= s <= hi for s in restarts):
+            return False
+        procs = [p for s, p in revives if lo <= s <= hi]
+        return len(procs) == len(set(procs))
+
+    return [(lo, hi) for lo in range(steps) for hi in range(lo, steps)
+            if legal(lo, hi) and not legal(lo - 1, hi) and not legal(lo, hi + 1)]
+
+
+# One processor per step; it may revive once and may restart in that step.
+_fault_steps = st.lists(st.tuples(st.integers(1, 3), st.booleans(), st.booleans()),
+                        min_size=1, max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fault_steps)
+def test_segments_and_f_r_match_brute_force(fault_steps):
+    events = []
+    for step, (proc, revive, restart) in enumerate(fault_steps):
+        if revive:
+            events.append((step, proc, "revive"))
+        if restart:
+            events.append((step, proc, "restart_local"))
+    trace = _trace_with(len(fault_steps), events)
+    restarts = [s for s, _p, kind in events if kind == "restart_local"]
+    revives = [(s, p) for s, p, kind in events if kind == "revive"]
+    expected = _brute_segments(len(fault_steps), restarts, revives)
+    assert find_legal_segments(trace) == expected
+    covered = {s for lo, hi in expected for s in range(lo, hi + 1)}
+    assert stats(trace).f_r == len(fault_steps) - len(covered)
+
 
 class TestStats:
     def test_counters(self):
@@ -299,6 +342,13 @@ class TestStats:
         result = stats(trace)
         # step 50 itself is outside both segments
         assert result.f_r == 1
+
+    def test_f_r_counts_overlapping_segments_once(self):
+        # Segments [0,9], [11,19], [21,59], [41,79] and [61,99] overlap; only
+        # the restart steps 10 and 20 are outside all of them.
+        events = [(10, 1, "restart_local"), (20, 1, "restart_local"),
+                  (40, 1, "revive"), (60, 1, "revive"), (80, 1, "revive")]
+        assert stats(_trace_with(100, events)).f_r == 2
 
     def test_clean_zero_deviations(self):
         assert stats(_trace_with(80, [])).f_r == 0
@@ -418,7 +468,7 @@ def ref_check_causal(tracker, segments, revive_steps, seed=0, samples_per_segmen
                 continue
             if exists_overlap(zi, zj) is None:
                 continue
-            expected = _shadow_hb(si, sj)
+            expected = happened_before(si, sj)
             got = causal_precedence(zi, zj)
             if got != expected:
                 violations.append(Violation(

@@ -7,7 +7,7 @@ import pytest
 
 from stablevc.cli import EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR, EXIT_OK, execute_scenario, main
 from stablevc.errors import PreconditionViolated, ScenarioError
-from stablevc.scenario import Scenario, load_scenario, parse_scenario
+from stablevc.scenario import Scenario, load_scenario, parse_checks, parse_scenario
 from stablevc.simnet import FaultPlan
 
 GOOD = """
@@ -143,6 +143,26 @@ class TestParsing:
         with pytest.raises(ScenarioError, match=r"unknown checks \['nope'\]"):
             parse_scenario(GOOD.replace("checks = all", "checks = all,nope"))
 
+    def test_transient_all_leaves_out_shadow_and_local_checks(self):
+        for value, checks in (("all", ("segments", "global_inv")),
+                              ("all,converged", ("segments", "global_inv", "converged")),
+                              ("local_inv,all", ("local_inv", "segments", "global_inv"))):
+            scenario = parse_scenario(FAULTY.replace("checks = segments,global_inv",
+                                                     f"checks = {value}"))
+            assert scenario.checks == checks
+            assert parse_scenario(scenario.to_text()).checks == checks
+        no_key = FAULTY.replace("checks = segments,global_inv\n", "")
+        assert parse_scenario(no_key).checks == ("segments", "global_inv")
+
+    def test_transient_run_rejects_shadow_checks(self):
+        for value in ("req1", "causal", "segments,req1,causal"):
+            with pytest.raises(ScenarioError, match="need a fault-free start"):
+                parse_scenario(FAULTY.replace("checks = segments,global_inv",
+                                              f"checks = {value}"))
+        # The dataclass default names req1 and causal too.
+        with pytest.raises(ScenarioError, match="need a fault-free start"):
+            Scenario(n=3, c=1, maxint=16, steps=10, faults=FaultPlan(transient_seed=1))
+
 
 class TestCli:
     def _write(self, tmp_path, text, name="case.scenario"):
@@ -258,6 +278,24 @@ class TestCli:
         assert main(["stats", str(tmp_path / "missing.trace")]) == EXIT_CONFIG_ERROR
         assert len(capsys.readouterr().err.splitlines()) == 1
 
+    def test_transient_run_naming_shadow_checks_exits_two(self, tmp_path, capsys):
+        # Both checks used to be skipped without a word, and the run printed
+        # "all enabled checks passed".
+        text = ("n = 3\nc = 1\nmaxint = 16\nsteps = 2000\nseed = 3\nscheduler = random\n"
+                "increment_rate = 0.5\nchecks = req1,causal\n[faults]\ntransient_seed = 9\n")
+        path = self._write(tmp_path, text)
+        assert main(["run", path, "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err == f"{path}: error: checks req1,causal need a fault-free start, " \
+                      f"and transient_seed is set\n"
+        assert not (tmp_path / "case.trace").exists()
+        # An override is validated too; ``all`` leaves both out.
+        path = self._write(tmp_path, FAULTY)
+        assert main(["run", path, "--out", str(tmp_path), "--checks", "req1"]) \
+            == EXIT_CONFIG_ERROR
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert main(["run", path, "--out", str(tmp_path), "--checks", "all"]) == EXIT_OK
+
     def test_checks_override(self, tmp_path):
         path = self._write(tmp_path, GOOD)
         assert main(["run", path, "--out", str(tmp_path),
@@ -297,7 +335,9 @@ class TestConvergedCheck:
         scenario = load_scenario(os.path.join(TestBundledScenarios.BUNDLE, "regress",
                                               "c4_32004.scenario"))
         assert "converged" in scenario.checks
-        scenario = dataclasses.replace(scenario, checks=("converged",))
+        checks = parse_checks("all,converged", "--checks", transient=True)
+        assert checks == ("segments", "global_inv", "converged")
+        scenario = dataclasses.replace(scenario, checks=checks)
         _world, trace, _summary, failures = execute_scenario(scenario)
         assert failures == []
         last = max(e.step for e in trace.by_kind("restart_local"))
