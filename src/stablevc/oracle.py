@@ -48,20 +48,26 @@ class ShadowTracker:
     """Lockstep observer holding the unbounded fault-free baseline.
 
     Maintains per-processor unbounded joined vectors (advanced exactly when
-    the protocol increments or merges), mirrors channel contents with shadow
-    snapshots, and records change-logs of (step, local pair, shadow vector)
-    so any past state can be queried by bisection.  A per-processor prefix
-    count of era changes (consecutive snapshots with unequal static parts),
-    extended on query, makes era changes between two states two bisects.
-    A ``restart_local`` changes no shadow: the baseline never forgets, the
-    local pair does, and the auditors exclude counting across a restart.
+    the protocol increments or merges), and records change-logs of (step,
+    local pair, shadow vector) so any past state can be queried by
+    bisection.  A per-processor prefix count of era changes (consecutive
+    snapshots with unequal static parts), extended on query, makes era
+    changes between two states two bisects.
+
+    A message's shadow is found by the snapshot it carries, not by
+    following the channels: a broadcast's first send stores the sender's
+    shadow under its snapshot, and a merged receive looks up the arriving
+    snapshot, which the receiver keeps as ``pairs[sender]``.  A snapshot no
+    send stored (an injected message, or a broadcast begun before the
+    tracker attached) has no baseline to join.  A ``restart_local``
+    changes no shadow: the baseline never forgets, the local pair does,
+    and the auditors exclude counting across a restart.
     """
 
     def __init__(self, config: SystemConfig):
         self.config = config
         n = config.n
         self.shadow: List[Optional[List[int]]] = [None] + [[0] * n for _ in range(n)]
-        self.mirror: Dict[Tuple[int, int], List[Optional[List[int]]]] = {}
         # Per processor: parallel lists (steps, pair snapshots, shadow copies),
         # appended only when the local pair changes.
         self.snap_steps: List[List[int]] = [[] for _ in range(n + 1)]
@@ -72,14 +78,14 @@ class ShadowTracker:
         self._era_prefix: List[List[int]] = [[0] for _ in range(n + 1)]
         self.merge_violations: List[Violation] = []
         self._last_local: List[Optional[VectorClockPair]] = [None] * (n + 1)
-        # Per-broadcast frozen shadow, mirroring the frozen pair snapshot.
-        self._bcast_shadow: List[Optional[List[int]]] = [None] * (n + 1)
+        # id(snapshot) -> (snapshot, shadow at its broadcast's begin); the
+        # snapshot is kept alive, so no other object can take its id.
+        self.sent: Dict[int, Tuple[VectorClockPair, List[int]]] = {}
 
     # -- observer interface ----------------------------------------------------
 
     def on_start(self, world: World) -> None:
         """Snapshot the initial (possibly fault-injected) world."""
-        self.mirror = {key: [None] * len(ch.queue) for key, ch in world.channels.items()}
         for i in self.config.proc_ids:
             self._record(0, i, world.procs[i])
 
@@ -91,56 +97,27 @@ class ShadowTracker:
                 self.shadow[proc][proc - 1] += 1
                 self.increment_steps[proc].append(event.step)
             elif kind == "send":
-                detail = event.detail
-                if detail["first"] or self._bcast_shadow[proc] is None:
-                    self._bcast_shadow[proc] = list(self.shadow[proc])
-                queue = self.mirror[(proc, detail["to"])]
-                if detail["overwrote"]:
-                    queue.pop(0)
-                queue.append(self._bcast_shadow[proc])  # shared, read-only
-            elif kind in ("receive", "ignored"):
-                sender = event.detail["from"]
-                queue = self.mirror[(sender, proc)]
-                msg_shadow = queue.pop(0) if queue else None
-                if kind == "receive" and event.detail.get("merged"):
-                    self._join(world, event, proc, msg_shadow)
-            # Declared faults change the channels as Channel does.
-            elif kind == "duplicate":
-                queue = self.mirror[(event.detail["src"], event.detail["dst"])]
-                queue.append(queue[0])
-                if len(queue) > self.config.c:
-                    queue.pop(0)  # a full channel drops its head
-            elif kind == "reorder":
-                queue = self.mirror[(event.detail["src"], event.detail["dst"])]
-                queue[0], queue[1] = queue[1], queue[0]
-            elif kind == "restart":
-                for (_src, dst), queue in self.mirror.items():
-                    if dst == proc:
-                        queue.clear()  # messages sent while it was down are lost
+                if event.detail["first"]:
+                    snapshot = event.detail["pair"]
+                    self.sent[id(snapshot)] = (snapshot, list(self.shadow[proc]))
+            elif kind == "receive" and event.detail["merged"]:
+                state = world.procs[proc]
+                sent = self.sent.get(id(state.pairs[event.detail["from"]]))
+                if sent is None:
+                    continue
+                mine = self.shadow[proc]
+                mine[:] = map(max, mine, sent[1])
+                # The merged pair must equal the shadow join modulo MAXINT.
+                maxint, curr_m = self.config.maxint, state.local.curr_m
+                if any(a % maxint != b % maxint for a, b in zip(curr_m, mine)):
+                    self.merge_violations.append(Violation(
+                        "merge_join", event.step, proc, f"curr.m={curr_m} shadow={mine}"))
         # A step's events all name its processor; a fault changes no pair.
         last = events[-1]
         if last.proc:
             self._record(last.step + 1, last.proc, world.procs[last.proc])
 
     # -- internals ----------------------------------------------------------------
-
-    def _join(self, world: World, event: TraceEvent, proc: int,
-              msg_shadow: Optional[List[int]]) -> None:
-        mine = self.shadow[proc]
-        if msg_shadow is None:
-            return  # injected message: no baseline to join against
-        for k in range(self.config.n):
-            if msg_shadow[k] > mine[k]:
-                mine[k] = msg_shadow[k]
-        # The merged pair must equal the shadow join modulo MAXINT.
-        local = world.procs[proc].local
-        maxint = self.config.maxint
-        for k in range(self.config.n):
-            if local.curr_m[k] % maxint != mine[k] % maxint:
-                self.merge_violations.append(Violation(
-                    "merge_join", event.step, proc,
-                    f"curr.m={local.curr_m} shadow={mine}"))
-                break
 
     def _record(self, step: int, proc: int, state: ProcessorState) -> None:
         # The pair itself is the snapshot: the protocol changes no pair in
@@ -193,46 +170,29 @@ class InvariantMonitor:
 
     Guard-rejected messages are exempt: the labeling layer may have adopted a
     fresh maximal label from an otherwise-ignored message and the pair only
-    catches up at the next loop iteration.
-
-    The invariants read only the local pair's two labels and the labeling
-    state, whose answers cannot change between two stamps while it is
-    clean.  So a processor whose labels, stamp and clean state match the
-    last ones found valid is counted as checked without asking again.  A
-    failing state is asked at every step.
+    catches up at the next loop iteration.  ``local_invariants`` keeps its
+    own memo, so a processor whose labels and clean labeling state have not
+    changed since they were last found valid is not asked again.
     """
 
     def __init__(self):
         self.checked = 0
         self.violations: List[Violation] = []
-        # proc -> (curr label, prev label, labeling stamp) last found valid.
-        self._valid: Dict[int, Tuple] = {}
 
     def on_step(self, world: World, events: List[TraceEvent]) -> None:
         comm = events[-1]
         if comm.kind not in ("send", "receive"):
             return
-        proc = comm.proc
-        state = world.procs[proc]
-        labeling = state.labeling
-        if not labeling.ready:
+        state = world.procs[comm.proc]
+        if not state.labeling.ready:
             # Only possible before the first loop iteration after fault
             # injection (a corrupted pending broadcast drains first); the
             # invariants are defined over an initialized labeling state.
             return
         self.checked += 1
-        local = state.pairs[proc]
-        valid = self._valid.get(proc)
-        if valid is not None and valid[0] is local.curr_label \
-                and valid[1] is local.prev_label and valid[2] == labeling.stamp \
-                and not labeling.dirty:
-            return
-        if state.local_invariants():
-            if not labeling.dirty:
-                self._valid[proc] = (local.curr_label, local.prev_label, labeling.stamp)
-        else:
+        if not state.local_invariants():
             self.violations.append(Violation(
-                "local_invariants", comm.step, proc, f"after {comm.kind}"))
+                "local_invariants", comm.step, comm.proc, f"after {comm.kind}"))
 
 
 # -- post-hoc checks ------------------------------------------------------------------

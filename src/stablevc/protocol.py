@@ -109,8 +109,8 @@ class ProcessorState:
         self.labeling = LabelingState(proc_id, cfg)
         self.pairs: List[Optional[VectorClockPair]] = [None] * (cfg.n + 1)
         self.pending_broadcast: Optional[PendingBroadcast] = None
-        # (curr label, prev label, labeling stamp) of the last local pair the
-        # broadcast loop found valid: the check depends on nothing else.
+        # (curr label, prev label, labeling stamp) of the last local pair
+        # local_invariants found valid.
         self._vouched: Tuple = (None, None, None)
         # _joined[j]: (pair from j, local pair it merged into with no revive)
         # for the last such merge of a pair from j.
@@ -135,9 +135,21 @@ class ProcessorState:
                 and eq_m(local.curr_label, labeling.get_label()))
 
     def local_invariants(self) -> bool:
-        if not self.labeling.ready:
+        """Memoized.  A clean labeling state answers the same between two
+        stamps, so a valid answer holds until the pair's labels or the stamp
+        change.  One taken while dirty never hits: the pass that cleans the
+        state takes a fresh stamp."""
+        labeling = self.labeling
+        if not labeling.ready:
             raise NotReady("labeling has not run bookkeeping yet")
-        return self.mirrored_local_labels() and labels_ordered(self.local, self.labeling)
+        local = self.pairs[self.id]
+        vouched = self._vouched
+        if vouched[0] is not local.curr_label or vouched[1] is not local.prev_label \
+                or vouched[2] != labeling.stamp or labeling.dirty:
+            if not (self.mirrored_local_labels() and labels_ordered(local, labeling)):
+                return False
+            self._vouched = (local.curr_label, local.prev_label, labeling.stamp)
+        return True
 
     # -- pair lifecycle -----------------------------------------------------------
 
@@ -188,15 +200,13 @@ class ProcessorState:
             notes = notes or StepNotes()
             notes.new_labels.extend(labeling.drain_created())
         local = self.pairs[self.id]
+        # local_invariants' memo test inline (bookkeeping left it clean).
         vouched = self._vouched
-        if vouched[2] != labeling.stamp or vouched[0] is not local.curr_label \
-                or vouched[1] is not local.prev_label:
-            if self.mirrored_local_labels() and labels_ordered(local, labeling):
-                self._vouched = (local.curr_label, local.prev_label, labeling.stamp)
-            else:
-                notes = notes or StepNotes()
-                self.restart_local(notes, "line8")
-                local = self.pairs[self.id]
+        if (vouched[2] != labeling.stamp or vouched[0] is not local.curr_label
+                or vouched[1] is not local.prev_label) and not self.local_invariants():
+            notes = notes or StepNotes()
+            self.restart_local(notes, "line8")
+            local = self.pairs[self.id]
         if exhausted(local):
             notes = notes or StepNotes()
             local = self.pairs[self.id] = self.revive(local, notes)

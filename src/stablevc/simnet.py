@@ -107,6 +107,10 @@ class FaultPlan:
     reorders: List[Tuple[int, int, int]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
+        steps = [*self.crash_at.values(), *self.restart_at.values(),
+                 *(at for _, _, at in self.duplications + self.reorders)]
+        if min(steps, default=0) < 0:
+            raise PreconditionViolated(f"fault steps must be >= 0, got {min(steps)}")
         for proc, step in self.restart_at.items():
             if proc not in self.crash_at or step <= self.crash_at[proc]:
                 raise PreconditionViolated(f"restart of {proc} must follow its crash")
@@ -466,7 +470,8 @@ def run(world: World, scheduler: Scheduler, steps: int,
         for src, dst in dup_at.get(now, ()):
             channel = world.channels[(src, dst)]
             if channel.queue:
-                channel.send(channel.queue[0].message)
+                head = channel.queue[0]
+                channel.send(head.message, head.injected)
                 events.append(TraceEvent(now, 0, "duplicate", {"src": src, "dst": dst}))
         for src, dst in reorder_at.get(now, ()):
             channel = world.channels[(src, dst)]

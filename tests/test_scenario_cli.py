@@ -296,6 +296,21 @@ class TestCli:
         assert len(capsys.readouterr().err.splitlines()) == 1
         assert main(["run", path, "--out", str(tmp_path), "--checks", "all"]) == EXIT_OK
 
+    def test_negative_fault_step_exits_two(self, tmp_path, capsys):
+        # Such a fault never fired, and the run printed "all enabled checks
+        # passed".
+        for old, new in (("crash = 2@100", "crash = 2@-5"),
+                         ("crash = 2@100\nrestart = 2@150", "crash = 2@-9\nrestart = 2@-5"),
+                         ("duplicate = 1>3@40", "duplicate = 1>2@-3"),
+                         ("reorder = 3>1@60", "reorder = 3>1@-1")):
+            path = self._write(tmp_path, FAULTY.replace(old, new))
+            capsys.readouterr()
+            assert main(["run", path, "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
+            err = capsys.readouterr().err
+            assert err.startswith(f"{path}: error: fault steps must be >= 0, got -")
+            assert len(err.splitlines()) == 1
+        assert not (tmp_path / "case.trace").exists()
+
     def test_checks_override(self, tmp_path):
         path = self._write(tmp_path, GOOD)
         assert main(["run", path, "--out", str(tmp_path),

@@ -156,6 +156,19 @@ class TestTransient:
         assert all(entry.injected for ch in world.channels.values()
                    for entry in ch.queue)
 
+    def test_duplicate_of_injected_head_is_injected(self):
+        # Channel 1>2 holds two injected entries; the duplicate at step 0
+        # drops the head and appends its copy, and proc 1's send then drops
+        # the head again, so the arrival at step 4 is the copy.
+        world = World.clean_start(SystemConfig(n=3, c=2, maxint=16))
+        plan = FaultPlan(transient_seed=5, transient_scope="channels",
+                         duplications=[(1, 2, 0)])
+        trace = run(world, RoundRobinScheduler(), 5, fault_plan=plan)
+        assert trace.count("duplicate") == 1
+        arrival = trace.events[-1]
+        assert (arrival.step, arrival.proc, arrival.detail["from"]) == (4, 2, 1)
+        assert arrival.detail["injected"] is True
+
     def test_only_at_step_zero(self):
         world = World.clean_start(CFG)
         world.clock = 3
