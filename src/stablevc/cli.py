@@ -13,6 +13,7 @@ import dataclasses
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from itertools import zip_longest
 from typing import List, Optional
 
 from .errors import ScenarioError, StableVCError
@@ -26,7 +27,7 @@ from .oracle import (
 )
 from .scenario import Scenario, load_scenario, parse_checks, parse_scenario
 from .simnet import run as sim_run
-from .trace import Trace, parse_event_line, read_trace_file
+from .trace import read_trace_file
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -72,8 +73,7 @@ def execute_scenario(scenario: Scenario):
         restart_steps: dict = {}
         for event in trace.by_kind("restart_local"):
             restart_steps.setdefault(event.proc, []).append(event.step)
-        bad = check_requirement1(tracker, trace.steps, restart_steps,
-                                 seed=scenario.seed)
+        bad = check_requirement1(tracker, trace.steps, restart_steps)
         bad.extend(tracker.merge_violations)
         if bad:
             failures.append(f"req1: {len(bad)} counting violations")
@@ -99,19 +99,20 @@ def _run_one(args) -> int:
                     else parse_checks(checks_override, "--checks",
                                       scenario.faults.transient_seed is not None)))
         _world, trace, summary, failures = execute_scenario(scenario)
-    except (ScenarioError, StableVCError, OSError) as exc:
+        base = os.path.join(out_dir, os.path.splitext(os.path.basename(path))[0])
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+            trace.write(base + ".trace", scenario.to_text())
+            with open(base + ".stats", "w", encoding="utf-8") as fh:
+                fh.write(summary.summary() + "\n")
+                for failure in failures:
+                    fh.write(f"check_failed {failure}\n")
+        except OSError as exc:
+            raise StableVCError(f"cannot write {exc.filename or out_dir}: "
+                                f"{exc.strerror or exc}") from exc
+    except StableVCError as exc:
         print(_error_line(path, str(exc)), file=sys.stderr)
         return EXIT_CONFIG_ERROR
-
-    base = os.path.splitext(os.path.basename(path))[0]
-    os.makedirs(out_dir, exist_ok=True)
-    trace_path = os.path.join(out_dir, base + ".trace")
-    trace.write(trace_path, scenario.to_text())
-    stats_path = os.path.join(out_dir, base + ".stats")
-    with open(stats_path, "w", encoding="utf-8") as fh:
-        fh.write(summary.summary() + "\n")
-        for failure in failures:
-            fh.write(f"check_failed {failure}\n")
     print(f"{path}: {summary.summary()}")
     for failure in failures:
         print(f"{path}: FAILED {failure}")
@@ -147,40 +148,31 @@ def cmd_run(paths: List[str], seed: Optional[int], steps: Optional[int],
 
 def cmd_replay(trace_path: str) -> int:
     try:
-        scenario_text, _events, _steps = read_trace_file(trace_path)
+        text, scenario_text, _recorded = read_trace_file(trace_path)
         if not scenario_text:
             raise ScenarioError(f"{trace_path}: no embedded scenario header")
         scenario = parse_scenario(scenario_text, origin=trace_path)
-        world = scenario.build_world()
-        trace = sim_run(world, scenario.build_scheduler(), scenario.steps,
+        trace = sim_run(scenario.build_world(), scenario.build_scheduler(), scenario.steps,
                         fault_plan=scenario.faults)
-    except (ScenarioError, StableVCError) as exc:
-        print(f"replay: error: {exc}", file=sys.stderr)
+    except StableVCError as exc:
+        print(_error_line(trace_path, str(exc)), file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    replay_path = trace_path + ".replay"
-    trace.write(replay_path, scenario.to_text())
-    with open(trace_path, "rb") as fh:
-        original = fh.read()
-    with open(replay_path, "rb") as fh:
-        replayed = fh.read()
-    os.unlink(replay_path)
-    if original != replayed:
-        print(f"replay: divergence from {trace_path}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    print(f"replay: byte-identical ({len(original)} bytes)")
+    replayed = trace.lines(scenario.to_text())
+    for lineno, (old, new) in enumerate(
+            zip_longest(text.splitlines(keepends=True), replayed, fillvalue=""), 1):
+        if old != new:
+            print(f"{trace_path}:{lineno}: replay diverges: trace {old!r}, replay {new!r}",
+                  file=sys.stderr)
+            return EXIT_CHECK_FAILED
+    print(f"replay: byte-identical ({len(text.encode('utf-8'))} bytes)")
     return EXIT_OK
 
 
 def cmd_stats(trace_path: str) -> int:
     try:
-        _scenario_text, event_lines, header_steps = read_trace_file(trace_path)
-        trace = Trace()
-        for line in event_lines:
-            trace.append(parse_event_line(line))
-        trace.steps = header_steps if header_steps is not None else (
-            max((e.step for e in trace.events), default=0) + 1)
-    except (ScenarioError, ValueError) as exc:
-        print(f"stats: error: {exc}", file=sys.stderr)
+        _text, _scenario_text, trace = read_trace_file(trace_path)
+    except ScenarioError as exc:
+        print(_error_line(trace_path, str(exc)), file=sys.stderr)
         return EXIT_CONFIG_ERROR
     print(stats(trace).summary())
     return EXIT_OK

@@ -180,14 +180,10 @@ def incomparable(a: Label, b: Label) -> bool:
 
 
 def cancels(a: Label, b: Label) -> bool:
-    """True when a is evidence that b is obsolete.
-
-    Either the two are incomparable, or they share a creator and b lies
-    strictly below a in the component order.
-    """
-    if incomparable(a, b):
-        return True
-    return a.creator == b.creator and precedes_b(b.ml, a.ml)
+    """True when a is evidence that b is obsolete: they share a creator and
+    a is neither below b nor =_m equal to it, so either the two are
+    incomparable or b lies strictly below a."""
+    return a.creator == b.creator and not preceq_lb(a, b)
 
 
 def next_b(inputs: Iterable[LabelComponent], cfg: LabelConfig) -> LabelComponent:

@@ -31,9 +31,6 @@ from .vcpair import (
     vc,
 )
 
-FULL_DENSITY_LIMIT = 100_000  # runs at most this long are checked exhaustively
-
-
 @dataclass
 class Violation:
     """One observed disagreement between the protocol and the shadow."""
@@ -77,7 +74,6 @@ class ShadowTracker:
         # era_prefix[proc][idx]: era changes among snapshots 0..idx.
         self._era_prefix: List[List[int]] = [[0] for _ in range(n + 1)]
         self.merge_violations: List[Violation] = []
-        self._last_local: List[Optional[VectorClockPair]] = [None] * (n + 1)
         # id(snapshot) -> (snapshot, shadow at its broadcast's begin); the
         # snapshot is kept alive, so no other object can take its id.
         self.sent: Dict[int, Tuple[VectorClockPair, List[int]]] = {}
@@ -122,14 +118,12 @@ class ShadowTracker:
     def _record(self, step: int, proc: int, state: ProcessorState) -> None:
         # The pair itself is the snapshot: the protocol changes no pair in
         # place once it may be shared.
-        local = state.pairs[proc]
-        last = self._last_local[proc]
-        if last is local or (last is not None and last == local):
+        local, pairs = state.pairs[proc], self.snap_pairs[proc]
+        if pairs and (pairs[-1] is local or pairs[-1] == local):
             return
         self.snap_steps[proc].append(step)
-        self.snap_pairs[proc].append(local)
+        pairs.append(local)
         self.snap_shadows[proc].append(list(self.shadow[proc]))
-        self._last_local[proc] = local
 
     # -- queries -----------------------------------------------------------------
 
@@ -198,15 +192,12 @@ class InvariantMonitor:
 # -- post-hoc checks ------------------------------------------------------------------
 
 
-def _sample_pairs(total_steps: int, procs, rng: random.Random,
-                  full: bool) -> List[Tuple[int, int, int]]:
-    """(proc, step_lo, step_hi) sample triples at mixed ranges."""
+def _sample_pairs(total_steps: int, procs) -> List[Tuple[int, int, int]]:
+    """(proc, step_lo, step_hi) sample triples at mixed ranges, anchored
+    every ``total_steps // 400`` steps (every step in a shorter run)."""
     samples = []
     gaps = [1, 7, 61, 509, 4099]
-    if full:
-        anchors = range(0, total_steps, max(1, total_steps // 400))
-    else:
-        anchors = sorted(rng.randrange(total_steps) for _ in range(400))
+    anchors = range(0, total_steps, max(1, total_steps // 400))
     for proc in procs:
         for lo in anchors:
             for gap in gaps:
@@ -217,18 +208,15 @@ def _sample_pairs(total_steps: int, procs, rng: random.Random,
 
 
 def check_requirement1(tracker: ShadowTracker, total_steps: int,
-                       restart_steps: Dict[int, List[int]],
-                       seed: int = 0) -> List[Violation]:
+                       restart_steps: Dict[int, List[int]]) -> List[Violation]:
     """Audit exact own-event counting between sampled states.
 
     For every sampled (state, later state, processor) with no intervening
     restart and at most one era change for that processor, the pair query
     must return exactly the number of increment events the trace shows.
     """
-    rng = random.Random(seed)
-    full = total_steps <= FULL_DENSITY_LIMIT
     violations: List[Violation] = []
-    for proc, lo, hi in _sample_pairs(total_steps, tracker.config.proc_ids, rng, full):
+    for proc, lo, hi in _sample_pairs(total_steps, tracker.config.proc_ids):
         restarts = restart_steps.get(proc)
         # Restart at step s mutates state c_{s+1}: exclude s in [lo, hi-1].
         if restarts and _count_in(restarts, lo - 1, hi - 1):

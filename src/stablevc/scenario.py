@@ -56,6 +56,9 @@ class Scenario:
         for rate in [self.increment_rate, *self.rate_overrides.values()]:
             if not 0.0 <= rate <= 1.0:
                 raise ScenarioError(f"increment rate {rate!r} outside [0, 1]")
+        last = max(faults.fault_steps(), default=0)
+        if last >= self.steps:
+            raise ScenarioError(f"fault step {last} is past the last step {self.steps - 1}")
         for src, dst, _ in faults.duplications + faults.reorders:
             if not (1 <= src <= self.n and 1 <= dst <= self.n and src != dst):
                 raise ScenarioError(f"bad channel {src}>{dst}")

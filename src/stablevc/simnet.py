@@ -107,8 +107,7 @@ class FaultPlan:
     reorders: List[Tuple[int, int, int]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        steps = [*self.crash_at.values(), *self.restart_at.values(),
-                 *(at for _, _, at in self.duplications + self.reorders)]
+        steps = self.fault_steps()
         if min(steps, default=0) < 0:
             raise PreconditionViolated(f"fault steps must be >= 0, got {min(steps)}")
         for proc, step in self.restart_at.items():
@@ -116,6 +115,11 @@ class FaultPlan:
                 raise PreconditionViolated(f"restart of {proc} must follow its crash")
         if self.transient_scope not in ("all", "channels"):
             raise PreconditionViolated(f"unknown transient scope {self.transient_scope!r}")
+
+    def fault_steps(self) -> List[int]:
+        """The step of every declared crash, restart, duplicate and reorder."""
+        return [*self.crash_at.values(), *self.restart_at.values(),
+                *(at for _, _, at in self.duplications + self.reorders)]
 
 
 class World:
@@ -447,15 +451,7 @@ def run(world: World, scheduler: Scheduler, steps: int,
         inject_transient(world, plan.transient_seed, plan.transient_scope)
         trace.append(TraceEvent(0, 0, "transient",
                                 {"seed": plan.transient_seed, "scope": plan.transient_scope}))
-    dup_at: Dict[int, List[Tuple[int, int]]] = {}
-    for src, dst, at in plan.duplications:
-        dup_at.setdefault(at, []).append((src, dst))
-    reorder_at: Dict[int, List[Tuple[int, int]]] = {}
-    for src, dst, at in plan.reorders:
-        reorder_at.setdefault(at, []).append((src, dst))
-
-    fault_steps = (set(plan.crash_at.values()) | set(plan.restart_at.values())
-                   | set(dup_at) | set(reorder_at))
+    fault_steps = set(plan.fault_steps())
 
     def faults(now: int) -> None:
         events: List[TraceEvent] = []
@@ -467,15 +463,15 @@ def run(world: World, scheduler: Scheduler, steps: int,
             if at == now and proc in world.crashed:
                 world.restart_undetectable(proc)
                 events.append(TraceEvent(now, proc, "restart", None))
-        for src, dst in dup_at.get(now, ()):
+        for src, dst, at in plan.duplications:
             channel = world.channels[(src, dst)]
-            if channel.queue:
+            if at == now and channel.queue:
                 head = channel.queue[0]
                 channel.send(head.message, head.injected)
                 events.append(TraceEvent(now, 0, "duplicate", {"src": src, "dst": dst}))
-        for src, dst in reorder_at.get(now, ()):
+        for src, dst, at in plan.reorders:
             channel = world.channels[(src, dst)]
-            if len(channel.queue) >= 2:
+            if at == now and len(channel.queue) >= 2:
                 channel.queue[0], channel.queue[1] = channel.queue[1], channel.queue[0]
                 events.append(TraceEvent(now, 0, "reorder", {"src": src, "dst": dst}))
         for event in events:

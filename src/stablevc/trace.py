@@ -10,7 +10,7 @@ and documented in TRACE_SCHEMA.md.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .errors import ScenarioError
 from .labels import Label, format_label
@@ -95,66 +95,63 @@ class Trace:
 
     # -- file I/O ------------------------------------------------------------
 
+    def lines(self, scenario_text: str = "") -> Iterator[str]:
+        """The trace file's lines, each ending in a newline."""
+        yield f"#{TRACE_VERSION}\n"
+        yield f"#steps {self.steps}\n"
+        for line in scenario_text.splitlines():
+            yield f"#scenario:{line}\n"
+        for event in self.events:
+            yield event.render() + "\n"
+
     def write(self, path: str, scenario_text: str = "") -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"#{TRACE_VERSION}\n")
-            fh.write(f"#steps {self.steps}\n")
-            for line in scenario_text.splitlines():
-                fh.write(f"#scenario:{line}\n")
-            for event in self.events:
-                fh.write(event.render() + "\n")
+            fh.writelines(self.lines(scenario_text))
 
 
 def read_text_file(path: str) -> str:
-    """A UTF-8 file's text; ScenarioError ``<path>: cannot read: <reason>``
-    if it is unreadable or not UTF-8."""
+    """A UTF-8 file's exact text, line ends as written; ScenarioError
+    ``<path>: cannot read: <reason>`` if it is unreadable or not UTF-8."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8", newline="") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc  # an OSError's text repeats the path
         raise ScenarioError(f"{path}: cannot read: {reason}") from exc
 
 
-def read_trace_file(path: str) -> Tuple[str, List[str], Optional[int]]:
-    """Split a trace file into (embedded scenario text, event lines, the
-    ``#steps`` header value or None when there is none).
+def read_trace_file(path: str) -> Tuple[str, str, Trace]:
+    """Read a trace file: (its exact text, the embedded scenario text, its
+    events as a "full" Trace).  The Trace's ``steps`` is the ``#steps``
+    header, or one past the last event's step when there is none.
 
     Raises ScenarioError on an unreadable or non-UTF-8 file, a missing or
-    mismatched version header, or a malformed ``#steps`` header.
+    mismatched version header, or a malformed ``#steps`` header or event
+    line; a bad line is named as ``<path>:<line>``.
     """
-    lines = read_text_file(path).splitlines()
+    text = read_text_file(path)
+    lines = text.splitlines()
     if not lines or lines[0] != f"#{TRACE_VERSION}":
         raise ScenarioError(f"{path}: missing or unsupported trace header")
     scenario_lines: List[str] = []
-    events: List[str] = []
+    trace = Trace()
     steps: Optional[int] = None
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], 2):
         if line.startswith("#scenario:"):
             scenario_lines.append(line[len("#scenario:"):])
         elif line.startswith("#steps ") and steps is None:
             try:
                 steps = int(line[len("#steps "):])
             except ValueError:
-                raise ScenarioError(f"{path}: malformed header {line!r}") from None
-        elif line.startswith("#"):
-            continue
-        else:
-            events.append(line)
-    return "\n".join(scenario_lines), events, steps
-
-
-def parse_event_line(line: str) -> TraceEvent:
-    parts = line.split("\t")
-    if len(parts) != 4:
-        raise ScenarioError(f"malformed trace line: {line!r}")
-    step, proc, kind, detail = parts
-    parsed: Optional[dict]
-    if detail == "-":
-        parsed = None
-    else:
-        parsed = {}
-        for chunk in detail.split(" "):
-            key, _, value = chunk.partition("=")
-            parsed[key] = value
-    return TraceEvent(int(step), int(proc), kind, parsed)
+                raise ScenarioError(f"{path}:{lineno}: malformed header {line!r}") from None
+        elif not line.startswith("#"):
+            try:
+                step, proc, kind, detail = line.split("\t")
+                parsed = None if detail == "-" else dict(
+                    chunk.partition("=")[::2] for chunk in detail.split(" "))
+                trace.append(TraceEvent(int(step), int(proc), kind, parsed))
+            except ValueError:
+                raise ScenarioError(f"{path}:{lineno}: malformed trace line: {line!r}") from None
+    trace.steps = steps if steps is not None else (
+        max((e.step for e in trace.events), default=0) + 1)
+    return text, "\n".join(scenario_lines), trace

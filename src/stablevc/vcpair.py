@@ -225,8 +225,6 @@ def merge_equal_static(loc: VectorClockPair, arr: VectorClockPair) -> VectorCloc
     is ``loc`` itself, returned as is; otherwise a grown copy.
     """
     loc_m, arr_m, mid, maxint = loc.curr_m, arr.curr_m, loc.mid, loc.maxint
-    if loc_m == arr_m:
-        return loc
     for a, b, o in zip(arr_m, loc_m, mid):
         if a != b and (a - o) % maxint > (b - o) % maxint:
             break

@@ -94,7 +94,7 @@ def test_criterion_1_clean_start_correctness(c1_run):
     exact counting, exact causality, under 5 seconds."""
     trace, tracker = c1_run["trace"], c1_run["tracker"]
     b_restart = trace.count("restart_local")
-    req1 = check_requirement1(tracker, trace.steps, _restart_steps(trace), seed=42)
+    req1 = check_requirement1(tracker, trace.steps, _restart_steps(trace))
     req1_total = len(req1) + len(tracker.merge_violations)
     segments = find_legal_segments(trace)
     revive_steps = sorted(e.step for e in trace.by_kind("revive"))
@@ -115,7 +115,7 @@ def test_criterion_2_wraparound_exactness(c2_run):
     join mod MAXINT, under 5 seconds."""
     trace, tracker = c2_run["trace"], c2_run["tracker"]
     revives = trace.count("revive")
-    req1 = check_requirement1(tracker, trace.steps, _restart_steps(trace), seed=9)
+    req1 = check_requirement1(tracker, trace.steps, _restart_steps(trace))
     merge_bad = tracker.merge_violations
     ok = (revives >= 10 and not req1 and not merge_bad
           and c2_run["elapsed"] < 5.0)

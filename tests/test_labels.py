@@ -1,5 +1,6 @@
 """Label component and label order tests, including the frozen worked examples."""
 
+import itertools
 import random
 
 import pytest
@@ -139,6 +140,24 @@ class TestCancels:
             b = Label(rng.randint(1, 3), _rand_comp(cfg, rng))
             if cancels(a, b) and cancels(b, a):
                 assert incomparable(a, b)
+
+
+    def test_matches_its_two_case_definition_exhaustively(self):
+        # The definition spelled case by case: incomparable, or the same
+        # creator with b strictly below a.  Every ordered pair of labels
+        # over 2 creators, stings 1-5 and antisting sets of size 0-3 from
+        # 1-5 (a sting inside its own antisting set included): 67,600 pairs.
+        def reference(a, b):
+            return incomparable(a, b) or (a.creator == b.creator and precedes_b(b.ml, a.ml))
+
+        subsets = [frozenset(s) for size in range(4)
+                   for s in itertools.combinations(range(1, 6), size)]
+        labels = [Label(creator, comp(sting, anti)) for creator in (1, 2)
+                  for sting in range(1, 6) for anti in subsets]
+        assert len(labels) ** 2 == 67_600
+        for a in labels:
+            for b in labels:
+                assert cancels(a, b) == reference(a, b), (a, b)
 
 
 def _rand_comp(cfg, rng):

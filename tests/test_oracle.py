@@ -11,7 +11,6 @@ import stablevc.oracle
 from stablevc.labeling import SystemConfig
 from stablevc.labels import Label, LabelComponent
 from stablevc.oracle import (
-    FULL_DENSITY_LIMIT,
     ExecutionStats,
     InvariantMonitor,
     ShadowTracker,
@@ -85,7 +84,7 @@ class TestShadowEquivalence:
         restarts = {}
         for event in trace.by_kind("restart_local"):
             restarts.setdefault(event.proc, []).append(event.step)
-        assert check_requirement1(tracker, trace.steps, restarts, seed=3) == []
+        assert check_requirement1(tracker, trace.steps, restarts) == []
 
     def test_causal_zero_violations(self):
         _world, trace, tracker, _ = clean_run()
@@ -170,7 +169,7 @@ class TestMessageShadow:
         violations = tracker.merge_violations
         assert len(violations) == 1058
         assert (violations[0].step, violations[0].proc) == (737, 2)
-        assert len(check_requirement1(tracker, trace.steps, restarts, seed=3)) == 2
+        assert len(check_requirement1(tracker, trace.steps, restarts)) == 2
 
 
 class _SnapshotTexts:
@@ -447,11 +446,9 @@ def ref_static_changes_between(tracker, proc, lo, hi):
     return count
 
 
-def ref_check_requirement1(tracker, total_steps, restart_steps, seed=0):
-    rng = random.Random(seed)
-    full = total_steps <= FULL_DENSITY_LIMIT
+def ref_check_requirement1(tracker, total_steps, restart_steps):
     violations = []
-    for proc, lo, hi in _sample_pairs(total_steps, tracker.config.proc_ids, rng, full):
+    for proc, lo, hi in _sample_pairs(total_steps, tracker.config.proc_ids):
         restarts = restart_steps.get(proc, [])
         if _count_in(restarts, lo - 1, hi - 1):
             continue
@@ -540,9 +537,9 @@ class TestAuditEquivalence:
             restarts.setdefault(event.proc, []).append(event.step)
         segments = find_legal_segments(trace)
         revive_steps = sorted(e.step for e in trace.by_kind("revive"))
-        req1 = ref_check_requirement1(tracker, trace.steps, restarts, seed=3)
+        req1 = ref_check_requirement1(tracker, trace.steps, restarts)
         causal = ref_check_causal(tracker, segments, revive_steps, seed=3)
-        assert check_requirement1(tracker, trace.steps, restarts, seed=3) == req1
+        assert check_requirement1(tracker, trace.steps, restarts) == req1
         assert check_causal(tracker, segments, revive_steps, seed=3) == causal
         if tampered:
             assert req1 and causal

@@ -260,7 +260,36 @@ class TestCli:
             capsys.readouterr()
             assert main([command, missing]) == EXIT_CONFIG_ERROR
             err = capsys.readouterr().err
-            assert err == f"{command}: error: {missing}: cannot read: No such file or directory\n"
+            assert err == f"{missing}: error: cannot read: No such file or directory\n"
+
+    def test_replay_names_the_first_differing_line(self, tmp_path, capsys):
+        path = self._write(tmp_path, GOOD)
+        main(["run", path, "--out", str(tmp_path)])
+        text = (tmp_path / "case.trace").read_text()
+        lines = text.splitlines(keepends=True)
+        edited = tmp_path / "edited.trace"
+        idx = next(i for i in range(40, len(lines)) if "\tsend\t" in lines[i])
+        lines[idx] = lines[idx].replace("\tsend\t", "\tsent\t")
+        edited.write_text("".join(lines))
+        crlf = tmp_path / "crlf.trace"
+        crlf.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+        for trace_path, lineno in ((edited, idx + 1), (crlf, 1)):
+            capsys.readouterr()
+            assert main(["replay", str(trace_path)]) == EXIT_CHECK_FAILED
+            err = capsys.readouterr().err
+            assert err.startswith(f"{trace_path}:{lineno}: replay diverges: trace ")
+            assert len(err.splitlines()) == 1
+        assert "'#stablevc-trace v1\\r\\n'" in err
+
+    def test_replay_writes_no_copy_beside_the_trace(self, tmp_path, capsys):
+        # Replay wrote <trace>.replay and read it back; a directory there
+        # gave a traceback.
+        path = self._write(tmp_path, GOOD)
+        main(["run", path, "--out", str(tmp_path)])
+        (tmp_path / "case.trace.replay").mkdir()
+        assert main(["replay", str(tmp_path / "case.trace")]) == EXIT_OK
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "case.scenario", "case.stats", "case.trace", "case.trace.replay"]
 
     def test_stats_command(self, tmp_path, capsys):
         path = self._write(tmp_path, GOOD)
@@ -277,6 +306,19 @@ class TestCli:
         capsys.readouterr()
         assert main(["stats", str(tmp_path / "missing.trace")]) == EXIT_CONFIG_ERROR
         assert len(capsys.readouterr().err.splitlines()) == 1
+
+    def test_stats_names_the_malformed_line(self, tmp_path, capsys):
+        path = self._write(tmp_path, GOOD)
+        main(["run", path, "--out", str(tmp_path)])
+        lines = (tmp_path / "case.trace").read_text().splitlines(keepends=True)
+        lines[39] = "x" + lines[39].split("\t", 1)[1]
+        bad = tmp_path / "bad.trace"
+        bad.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(["stats", str(bad)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"{bad}:40: error: malformed trace line: 'x")
+        assert len(err.splitlines()) == 1
 
     def test_transient_run_naming_shadow_checks_exits_two(self, tmp_path, capsys):
         # Both checks used to be skipped without a word, and the run printed
@@ -310,6 +352,37 @@ class TestCli:
             assert err.startswith(f"{path}: error: fault steps must be >= 0, got -")
             assert len(err.splitlines()) == 1
         assert not (tmp_path / "case.trace").exists()
+
+    def test_unreachable_fault_step_exits_two(self, tmp_path, capsys):
+        # Such a fault never fired, and the run printed "all enabled checks
+        # passed".
+        for old, new, late in (("crash = 2@100\nrestart = 2@150",
+                                "crash = 2@4000\nrestart = 2@5000", 5000),
+                               ("restart = 2@150", "restart = 2@400", 400),
+                               ("duplicate = 1>3@40", "duplicate = 1>3@900", 900),
+                               ("reorder = 3>1@60", "reorder = 3>1@401", 401)):
+            path = self._write(tmp_path, FAULTY.replace(old, new))
+            capsys.readouterr()
+            assert main(["run", path, "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
+            assert capsys.readouterr().err == \
+                f"{path}: error: fault step {late} is past the last step 399\n"
+        # A --steps override is checked the same way.
+        path = self._write(tmp_path, FAULTY)
+        assert main(["run", path, "--out", str(tmp_path), "--steps", "150"]) \
+            == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == \
+            f"{path}: error: fault step 150 is past the last step 149\n"
+        assert not (tmp_path / "case.trace").exists()
+        assert main(["run", path, "--out", str(tmp_path), "--steps", "151"]) == EXIT_OK
+
+    def test_unwritable_out_exits_two(self, tmp_path, capsys):
+        # The writes ran after the error path: a traceback and exit 1.
+        path = self._write(tmp_path, GOOD)
+        out = os.path.join(path, "sub")
+        capsys.readouterr()
+        assert main(["run", path, "--out", out]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == \
+            f"{path}: error: cannot write {out}: Not a directory\n"
 
     def test_checks_override(self, tmp_path):
         path = self._write(tmp_path, GOOD)
