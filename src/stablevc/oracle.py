@@ -86,6 +86,7 @@ class ShadowTracker:
             self._record(0, i, world.procs[i])
 
     def on_step(self, world: World, events: List[TraceEvent]) -> None:
+        kept = None  # the shadow copy a first send stored; the send ends its step
         for event in events:
             kind = event.kind
             proc = event.proc
@@ -94,8 +95,13 @@ class ShadowTracker:
                 self.increment_steps[proc].append(event.step)
             elif kind == "send":
                 if event.detail["first"]:
-                    snapshot = event.detail["pair"]
-                    self.sent[id(snapshot)] = (snapshot, list(self.shadow[proc]))
+                    snapshot, shadow = event.detail["pair"], self.shadow[proc]
+                    pairs, shadows = self.snap_pairs[proc], self.snap_shadows[proc]
+                    if pairs and pairs[-1] is snapshot and shadows[-1] == shadow:
+                        kept = shadows[-1]  # stored lists never change
+                    else:
+                        kept = list(shadow)
+                    self.sent[id(snapshot)] = (snapshot, kept)
             elif kind == "receive" and event.detail["merged"]:
                 state = world.procs[proc]
                 sent = self.sent.get(id(state.pairs[event.detail["from"]]))
@@ -111,11 +117,13 @@ class ShadowTracker:
         # A step's events all name its processor; a fault changes no pair.
         last = events[-1]
         if last.proc:
-            self._record(last.step + 1, last.proc, world.procs[last.proc])
+            self._record(last.step + 1, last.proc, world.procs[last.proc], kept)
 
     # -- internals ----------------------------------------------------------------
 
-    def _record(self, step: int, proc: int, state: ProcessorState) -> None:
+    def _record(self, step: int, proc: int, state: ProcessorState,
+                shadow: Optional[List[int]] = None) -> None:
+        """``shadow``, when given, is a stored list equal to the processor's shadow."""
         # The pair itself is the snapshot: the protocol changes no pair in
         # place once it may be shared.
         local, pairs = state.pairs[proc], self.snap_pairs[proc]
@@ -123,7 +131,7 @@ class ShadowTracker:
             return
         self.snap_steps[proc].append(step)
         pairs.append(local)
-        self.snap_shadows[proc].append(list(self.shadow[proc]))
+        self.snap_shadows[proc].append(list(self.shadow[proc]) if shadow is None else shadow)
 
     # -- queries -----------------------------------------------------------------
 

@@ -195,7 +195,8 @@ class ProcessorState:
             notes = StepNotes()
             self.increment(notes)
         labeling = self.labeling
-        labeling.label_bookkeeping()
+        if labeling._dirty or not labeling.ready:
+            labeling.label_bookkeeping()
         if labeling.created_log:
             notes = notes or StepNotes()
             notes.new_labels.extend(labeling.drain_created())
@@ -211,33 +212,34 @@ class ProcessorState:
             notes = notes or StepNotes()
             local = self.pairs[self.id] = self.revive(local, notes)
         # The local pair itself is the snapshot: no pair is changed in place
-        # once it may be shared (increment works on a copy).
+        # once it may be shared (increment works on a copy).  Bookkeeping
+        # left max[id] set: it is get_label().
         self.pending_broadcast = PendingBroadcast(
-            local, list(self.peers), labeling.get_label(), list(labeling.max))
-        return self._emit_next(notes or _NO_NOTES)
+            local, list(self.peers), labeling.max[self.id], list(labeling.max))
+        return self.do_forever_continue(notes or _NO_NOTES)
 
-    def do_forever_continue(self) -> Tuple[int, ServerMessage, StepNotes]:
+    def do_forever_continue(self, notes: StepNotes = _NO_NOTES
+                            ) -> Tuple[int, ServerMessage, StepNotes]:
         """Send the frozen snapshot to the next destination.
 
-        The returned notes are a shared empty record: a continue step never
-        increments, mints, revives or restarts.
+        ``notes`` are the step's: a begin passes its own, and a continue
+        step returns the shared empty record, since it never increments,
+        mints, revives or restarts.
         """
-        pending = self.pending_broadcast
-        if pending is None or not pending.remaining:
-            raise NoBroadcast(f"processor {self.id} has no pending broadcast")
-        return self._emit_next(_NO_NOTES)
-
-    def _emit_next(self, notes: StepNotes) -> Tuple[int, ServerMessage, StepNotes]:
         # Pairs inside messages are shared immutable snapshots: every mutation
         # path in the protocol works on a fresh copy, never in place.
         pending = self.pending_broadcast
-        dest = pending.remaining.pop(0)
+        try:
+            remaining = pending.remaining
+            dest = remaining.pop(0)
+        except (AttributeError, IndexError):  # no broadcast, or none left to send
+            raise NoBroadcast(f"processor {self.id} has no pending broadcast") from None
         token = self.pairs[dest]
         if token is None:
             token = VectorClockPair.fresh(self.labeling.get_label(), self.cfg.n, self.cfg.maxint)
         message = ServerMessage(pending.sender_max, pending.echoes[dest],
                                 ClientMessage(pending.snapshot, token))
-        if not pending.remaining:
+        if not remaining:
             self.pending_broadcast = None
         return dest, message, notes
 

@@ -9,9 +9,9 @@ scheduler, steps) tuple always reproduces the same trace.
 from __future__ import annotations
 
 import random
-from collections import defaultdict, deque
+from bisect import insort
+from collections import deque
 from dataclasses import dataclass, field
-from itertools import compress
 from math import gcd
 from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
@@ -68,28 +68,48 @@ class ChannelEntry:
 
 
 class Channel:
-    """Bounded FIFO link; a send into a full channel overwrites the oldest entry."""
+    """Bounded FIFO link; a send into a full channel overwrites the oldest entry.
 
-    __slots__ = ("src", "dst", "capacity", "queue")
+    ``ready`` is the receiver's ready-source record (``World.ready[dst]``,
+    shared by every channel into ``dst``): the channel's ``src`` is in it,
+    in id order, exactly while the queue holds a message.  Queue changes
+    that can empty or fill it go through ``send``, ``receive`` and ``clear``.
+    """
 
-    def __init__(self, src: int, dst: int, capacity: int):
+    __slots__ = ("src", "dst", "capacity", "queue", "ready")
+
+    def __init__(self, src: int, dst: int, capacity: int,
+                 ready: Optional[List[int]] = None):
         self.src = src
         self.dst = dst
         self.capacity = capacity
         self.queue: Deque[ChannelEntry] = deque(maxlen=capacity)
+        self.ready: List[int] = [] if ready is None else ready
 
     def send(self, message: ServerMessage, injected: bool = False) -> bool:
         """Append a message; returns True when the oldest entry was overwritten."""
         queue = self.queue
-        overwrote = len(queue) == self.capacity
+        size = len(queue)
+        if not size:
+            insort(self.ready, self.src)
         queue.append(ChannelEntry(message, injected))  # a full deque drops its head
-        return overwrote
+        return size == self.capacity
 
     def receive(self) -> ChannelEntry:
+        queue = self.queue
         try:
-            return self.queue.popleft()
+            entry = queue.popleft()
         except IndexError:
             raise ActionNotEnabled(f"channel {self.src}->{self.dst} is empty") from None
+        if not queue:
+            self.ready.remove(self.src)
+        return entry
+
+    def clear(self) -> None:
+        """Drop every message in flight."""
+        if self.queue:
+            self.queue.clear()
+            self.ready.remove(self.src)
 
     def __len__(self) -> int:
         return len(self.queue)
@@ -127,12 +147,12 @@ class World:
 
     ``channels[(i, j)]`` and ``links[i][j]`` are the same channel from i to j
     (``links`` has a None diagonal and a None row and column 0).
-    ``inboxes[j]`` is ``(senders, queues)``: every sender i of j in id order,
-    and the channel's own deque ``links[i][j].queue`` for each, so a
-    scheduler sees which incoming queues hold messages.
+    ``ready[j]`` is j's ready-source record: the senders i, in id order,
+    whose channel to j holds a message.  The channels keep it as their
+    queues change, so a scheduler reads it instead of scanning j's inbox.
     """
 
-    __slots__ = ("config", "procs", "channels", "links", "inboxes", "crashed", "clock",
+    __slots__ = ("config", "procs", "channels", "links", "ready", "crashed", "clock",
                  "_live")
 
     def __init__(self, config: SystemConfig):
@@ -142,17 +162,15 @@ class World:
         self.links: List[List[Optional[Channel]]] = [[None] * (config.n + 1)
                                                      for _ in range(config.n + 1)]
         self.channels: Dict[Tuple[int, int], Channel] = {}
+        self.ready: List[List[int]] = [[] for _ in range(config.n + 1)]
         self.crashed: set = set()
         self.clock = 0
         for i in ids:
             self.procs[i] = ProcessorState(i, config)
             for j in ids:
                 if i != j:
-                    self.links[i][j] = self.channels[(i, j)] = Channel(i, j, config.c)
-        self.inboxes: List[Tuple[Tuple[int, ...], Tuple[Deque[ChannelEntry], ...]]] = [((), ())]
-        for j in ids:
-            senders = tuple(i for i in ids if i != j)
-            self.inboxes.append((senders, tuple(self.links[i][j].queue for i in senders)))
+                    self.links[i][j] = self.channels[(i, j)] = Channel(
+                        i, j, config.c, self.ready[j])
         self._live: List[int] = list(ids)
 
     @classmethod
@@ -195,76 +213,122 @@ class World:
         self._live = [i for i in self.config.proc_ids if i not in self.crashed]
         for j in self.config.proc_ids:
             if j != proc:
-                self.channels[(j, proc)].queue.clear()
+                self.channels[(j, proc)].clear()
 
 
 # -- schedulers ---------------------------------------------------------------------
 
 
 class Scheduler:
-    """Picks (processor, action) each step; subclasses define the policy.
+    """Picks (processor, action) each step.
 
-    Shared machinery enforces the fairness contract: per-processor
+    ``next`` chooses a live processor by the policy a subclass sets up (a
+    round-robin cursor, or a seeded draw with a starvation guard) and
+    applies the fairness contract to it in the same frame: per-processor
     alternation between send and receive when both are enabled, and
-    round-robin rotation over message sources.
+    round-robin rotation over the ready message sources.  A begin draws its
+    increment from the workload stream.
     """
 
-    def __init__(self) -> None:
-        self._prefer_receive: Dict[int, bool] = defaultdict(bool)
-        self._next_source: Dict[int, int] = defaultdict(int)
+    def __init__(self, rng: Optional[random.Random] = None) -> None:
+        self.rng = rng
+        self._random = None if rng is None else rng.random  # None: round-robin
+        self._cursor = 0
         self.workload_rng: Optional[random.Random] = None
         self._rates: Dict[int, float] = {}
-        self._default_rate = 0.0
+        # Per processor, sized on the first pick: receive next if a source
+        # is ready, the rotation cursor over the ready sources, the increment
+        # rate resolved from _rates, and the step of the last pick.
+        self._prefer_receive: Optional[List[bool]] = None
+        self._next_source: List[int] = []
+        self._rate_of: List[float] = []
+        self._last_run: List[int] = []
+        self._live_seen: Optional[List[int]] = None  # the list _deadline covers
+        self._deadline = 0
+        self._bound = 0
 
     def configure_workload(self, seed: int, rates: Dict[int, float]) -> None:
         """Seed the increment draws; ``rates`` maps a processor id to its
         increment chance per loop iteration, with key 0 as the default."""
         self.workload_rng = random.Random(seed ^ 0x5EED)
         self._rates = rates
-        self._default_rate = rates.get(0, 0.0)
+        if self._prefer_receive is not None:
+            self._resolve_rates()
+
+    def _size(self, world: World) -> List[bool]:
+        """Size the per-processor state to ``world``; returns _prefer_receive."""
+        n = world.config.n
+        self._prefer_receive = [False] * (n + 1)
+        self._next_source = [0] * (n + 1)
+        self._last_run = [0] * (n + 1)  # never run: as if run at step 0
+        self._bound = 4 * n * world.config.c
+        self._resolve_rates()
+        return self._prefer_receive
+
+    def _resolve_rates(self) -> None:
+        rates = self._rates
+        default = rates.get(0, 0.0)
+        self._rate_of = [rates.get(proc, default) for proc in range(len(self._prefer_receive))]
 
     def next(self, world: World) -> Optional[Tuple[int, Action]]:
-        raise NotImplementedError
-
-    def pick_action(self, world: World, proc: int) -> Action:
+        live = world._live
+        if not live:
+            return None
         prefer_receive = self._prefer_receive
+        if prefer_receive is None:
+            prefer_receive = self._size(world)
+        draw = self._random
+        if draw is None:
+            proc = live[self._cursor % len(live)]
+            self._cursor += 1
+        else:
+            # The lowest-id live processor left unpicked for _bound steps,
+            # else a uniform draw; see RandomScheduler.
+            clock = world.clock
+            last = self._last_run
+            proc = 0
+            if live is not self._live_seen:  # World rebuilds it on a crash or restart
+                self._live_seen = live
+                self._deadline = clock
+            if clock >= self._deadline:
+                bound = self._bound
+                self._deadline = min(map(last.__getitem__, live)) + bound
+                if clock >= self._deadline:
+                    for cand in live:
+                        if clock - last[cand] >= bound:
+                            proc = cand
+                            break
+            if not proc:
+                # draw() < 1 - 2**-53, so the product rounds below len(live).
+                proc = live[int(draw() * len(live))]
+            last[proc] = clock
         if prefer_receive[proc]:
-            senders, queues = world.inboxes[proc]
-            sources = [*compress(senders, queues)]  # senders with a message
+            sources = world.ready[proc]
             if sources:
                 prefer_receive[proc] = False
-                # Rotate over the non-empty sources.
                 next_source = self._next_source
                 start = next_source[proc]
                 count = len(sources)
                 next_source[proc] = (start + 1) % count
-                return _RECEIVE_FROM[sources[start % count]]
+                return proc, _RECEIVE_FROM[sources[start % count]]
         prefer_receive[proc] = True
         if world.procs[proc].pending_broadcast is not None:
-            return _CONTINUE
+            return proc, _CONTINUE
         # Draw only for a rate strictly inside (0, 1).
-        rate = self._rates.get(proc, self._default_rate)
+        rate = self._rate_of[proc]
         if rate <= 0.0:
-            return _BEGIN
+            return proc, _BEGIN
         if rate >= 1.0 or self.workload_rng.random() < rate:
-            return _BEGIN_INCREMENT
-        return _BEGIN
+            return proc, _BEGIN_INCREMENT
+        return proc, _BEGIN
 
 
 class RoundRobinScheduler(Scheduler):
     """Cycles over live processors in id order."""
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._cursor = 0
-
-    def next(self, world: World) -> Optional[Tuple[int, Action]]:
-        live = world.live_procs()
-        if not live:
-            return None
-        proc = live[self._cursor % len(live)]
-        self._cursor += 1
-        return proc, self.pick_action(world, proc)
+    # Each policy names the shared pick as its own method (perfbench times
+    # ``RoundRobinScheduler.next`` and ``RandomScheduler.next``).
+    next = Scheduler.next
 
 
 class RandomScheduler(Scheduler):
@@ -282,39 +346,9 @@ class RandomScheduler(Scheduler):
     """
 
     def __init__(self, seed: int):
-        super().__init__()
-        self.rng = random.Random(seed)
-        self._random = self.rng.random
-        self._last_run: Dict[int, int] = {}
-        self._live_seen: Optional[List[int]] = None  # the list _deadline covers
-        self._deadline = 0
-        self._bound = 0
+        super().__init__(random.Random(seed))
 
-    def next(self, world: World) -> Optional[Tuple[int, Action]]:
-        live = world._live
-        if not live:
-            return None
-        clock = world.clock
-        last = self._last_run
-        if live is not self._live_seen:
-            # World rebuilds the list on every crash and restart.
-            self._live_seen = live
-            for cand in live:
-                last.setdefault(cand, 0)  # never run: as if run at step 0
-            self._bound = 4 * world.config.n * world.config.c
-            self._deadline = clock
-        if clock >= self._deadline:
-            bound = self._bound
-            self._deadline = min(map(last.__getitem__, live)) + bound
-            if clock >= self._deadline:
-                for proc in live:  # the lowest overdue id
-                    if clock - last[proc] >= bound:
-                        last[proc] = clock
-                        return proc, self.pick_action(world, proc)
-        # random() < 1 - 2**-53, so the product rounds below len(live).
-        proc = live[int(self._random() * len(live))]
-        last[proc] = clock
-        return proc, self.pick_action(world, proc)
+    next = Scheduler.next
 
 
 class ScriptedScheduler(Scheduler):
@@ -348,10 +382,10 @@ def inject_transient(world: World, seed: int, scope: str = "all") -> World:
             _corrupt_processor(world.procs[i], rng)
     fill_full = scope == "channels"
     for channel in world.channels.values():
-        channel.queue.clear()
+        channel.clear()
         count = channel.capacity if fill_full else rng.randint(0, channel.capacity)
         for _ in range(count):
-            channel.queue.append(ChannelEntry(_random_message(cfg, rng), injected=True))
+            channel.send(_random_message(cfg, rng), injected=True)
     return world
 
 
@@ -451,7 +485,6 @@ def run(world: World, scheduler: Scheduler, steps: int,
         inject_transient(world, plan.transient_seed, plan.transient_scope)
         trace.append(TraceEvent(0, 0, "transient",
                                 {"seed": plan.transient_seed, "scope": plan.transient_scope}))
-    fault_steps = set(plan.fault_steps())
 
     def faults(now: int) -> None:
         events: List[TraceEvent] = []
@@ -494,11 +527,15 @@ def run(world: World, scheduler: Scheduler, steps: int,
     procs, links, counts, record = world.procs, world.links, trace.counts, trace.append
     pick_next = scheduler.next
     start = world.clock
+    # The steps with a declared fault, in order; -1 once none is left.
+    fault_steps = iter(sorted({at for at in plan.fault_steps() if at >= start}))
+    next_fault = next(fault_steps, -1)
     try:
         for now in range(start, start + steps):
             world.clock = now
-            if now in fault_steps:
+            if now == next_fault:
                 faults(now)
+                next_fault = next(fault_steps, -1)
             pick = pick_next(world)
             if pick is None:
                 continue

@@ -123,7 +123,10 @@ def read_text_file(path: str) -> str:
 def read_trace_file(path: str) -> Tuple[str, str, Trace]:
     """Read a trace file: (its exact text, the embedded scenario text, its
     events as a "full" Trace).  The Trace's ``steps`` is the ``#steps``
-    header, or one past the last event's step when there is none.
+    header, or one past the last event's step when there is none.  Each
+    ``#scenario:`` line keeps its line number in the scenario text (the
+    lines between are blank), so the scenario parser names the trace's own
+    line.
 
     Raises ScenarioError on an unreadable or non-UTF-8 file, a missing or
     mismatched version header, or a malformed ``#steps`` header or event
@@ -138,6 +141,7 @@ def read_trace_file(path: str) -> Tuple[str, str, Trace]:
     steps: Optional[int] = None
     for lineno, line in enumerate(lines[1:], 2):
         if line.startswith("#scenario:"):
+            scenario_lines += [""] * (lineno - 1 - len(scenario_lines))
             scenario_lines.append(line[len("#scenario:"):])
         elif line.startswith("#steps ") and steps is None:
             try:

@@ -281,6 +281,20 @@ class TestCli:
             assert len(err.splitlines()) == 1
         assert "'#stablevc-trace v1\\r\\n'" in err
 
+    def test_replay_names_the_trace_line_of_a_scenario_error(self, tmp_path, capsys):
+        # The embedded scenario starts on the trace's third line; an error
+        # in it was named by its line inside the scenario text.
+        path = self._write(tmp_path, GOOD)
+        main(["run", path, "--out", str(tmp_path)])
+        lines = (tmp_path / "case.trace").read_text().splitlines(keepends=True)
+        assert lines[2].startswith("#scenario:") and lines[6].startswith("#scenario:")
+        lines[6] = "#scenario:bogus = 1\n"
+        bad = tmp_path / "bad.trace"
+        bad.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(["replay", str(bad)]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == f"{bad}:7: error: unknown key 'bogus'\n"
+
     def test_replay_writes_no_copy_beside_the_trace(self, tmp_path, capsys):
         # Replay wrote <trace>.replay and read it back; a directory there
         # gave a traceback.

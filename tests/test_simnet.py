@@ -69,17 +69,22 @@ class TestEnabledActions:
         world = World.clean_start(CFG)
         sched = RoundRobinScheduler()
         # Nothing to receive: every pick is a begin, whichever side is preferred.
-        assert [sched.pick_action(world, 1).kind for _ in range(2)] == [BEGIN_BROADCAST] * 2
+        picks = [sched.next(world) for _ in range(6)]
+        assert [proc for proc, _ in picks] == [1, 2, 3, 1, 2, 3]
+        assert [action.kind for _, action in picks] == [BEGIN_BROADCAST] * 6
 
     def test_pending_and_incoming(self):
         world = World.clean_start(CFG)
         run(world, ScriptedScheduler([(1, Action(BEGIN_BROADCAST))]), 1)  # sends to 2
-        sched = RoundRobinScheduler()
-        picks = [sched.pick_action(world, 2) for _ in range(2)]
-        assert [a.kind for a in picks] == [BEGIN_BROADCAST, RECEIVE]
-        assert picks[1].sender == 1
         assert world.procs[1].pending_broadcast is not None
-        assert sched.pick_action(world, 1).kind == CONTINUE_BROADCAST
+        sched = RoundRobinScheduler()
+        picks = [(proc, action.kind, action.sender)
+                 for proc, action in (sched.next(world) for _ in range(6))]
+        # 1 owes the rest of its broadcast and has nothing to receive; 2
+        # alternates a begin with the receive from 1; 3 only begins.
+        assert picks == [(1, CONTINUE_BROADCAST, None), (2, BEGIN_BROADCAST, None),
+                         (3, BEGIN_BROADCAST, None), (1, CONTINUE_BROADCAST, None),
+                         (2, RECEIVE, 1), (3, BEGIN_BROADCAST, None)]
 
     def test_crashed_processor_has_none(self):
         world = World.clean_start(CFG)
@@ -87,6 +92,56 @@ class TestEnabledActions:
         assert 2 not in world.live_procs()
         sched = RoundRobinScheduler()
         assert [sched.next(world)[0] for _ in range(4)] == [1, 3, 1, 3]
+
+
+def _ready_by_scan(world):
+    """Per receiver j >= 1: the senders, in id order, whose channel to j holds a message."""
+    ids = world.config.proc_ids
+    return [[i for i in ids if i != j and world.links[i][j].queue] for j in ids]
+
+
+class TestReadySources:
+    """``World.ready`` is kept by the channels as their queues change."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("policy", [RandomScheduler, RoundRobinScheduler])
+    @pytest.mark.parametrize("scope", ["all", "channels"])
+    def test_matches_the_queues_after_every_step(self, n, policy, scope):
+        class Checking(policy):
+            def next(self, world):
+                assert world.ready[1:] == _ready_by_scan(world)
+                checked.append(world.clock)
+                return super().next(world)
+
+        checked = []
+        config = SystemConfig(n=n, c=2, maxint=16)
+        plan = FaultPlan(transient_seed=n, transient_scope=scope,
+                         crash_at={2: 100}, restart_at={2: 400},
+                         duplications=[(1, 2, at) for at in range(50, 1500, 50)],
+                         reorders=[(1, 2, at) for at in range(50, 1500, 50)]
+                         + [(n, 1, at) for at in range(60, 1500, 50)])
+        world = World.clean_start(config)
+        assert world.ready[1:] == _ready_by_scan(world)
+        sched = Checking(n) if policy is RandomScheduler else Checking()
+        sched.configure_workload(n, {0: 0.2})
+        trace = run(world, sched, 1500, fault_plan=plan, trace_level="faults")
+        assert world.ready[1:] == _ready_by_scan(world)
+        assert checked == list(range(1500))
+        for kind in ("transient", "crash", "restart", "duplicate", "reorder"):
+            assert trace.count(kind) > 0, kind
+
+    def test_send_receive_and_clear(self):
+        ready = [3]
+        ch = Channel(2, 1, capacity=2, ready=ready)
+        ch.send("a")
+        ch.send("b")
+        assert ready == [2, 3]
+        assert ch.receive().message == "a" and ready == [2, 3]
+        assert ch.receive().message == "b" and ready == [3]
+        ch.send("c")
+        ch.clear()
+        ch.clear()
+        assert ready == [3] and len(ch) == 0
 
 
 class TestCrashRestart:
@@ -390,7 +445,15 @@ class TestScriptedScheduler:
 
 class LinearScanScheduler(RandomScheduler):
     """The random scheduler's pick as a plain scan: every step checks every
-    live processor for a 4*N*C-step wait, lowest id first."""
+    live processor for a 4*N*C-step wait, lowest id first.  The fairness
+    rule is a reference copy over per-processor dicts, and it finds the
+    ready sources by looking at every incoming queue."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.last_run = {}
+        self.prefer_receive = {}
+        self.next_source = {}
 
     def next(self, world):
         live = world.live_procs()
@@ -398,7 +461,7 @@ class LinearScanScheduler(RandomScheduler):
             return None
         bound = 4 * world.config.n * world.config.c
         clock = world.clock
-        last = self._last_run
+        last = self.last_run
         proc = None
         for cand in live:
             if clock - last.get(cand, 0) >= bound:
@@ -408,7 +471,24 @@ class LinearScanScheduler(RandomScheduler):
             draw = int(self.rng.random() * len(live))
             proc = live[draw if draw < len(live) else len(live) - 1]
         last[proc] = clock
-        return proc, self.pick_action(world, proc)
+        return proc, self.action(world, proc)
+
+    def action(self, world, proc):
+        if self.prefer_receive.get(proc, False):
+            sources = [i for i in world.config.proc_ids
+                       if i != proc and world.links[i][proc].queue]
+            if sources:
+                self.prefer_receive[proc] = False
+                start = self.next_source.get(proc, 0)
+                self.next_source[proc] = (start + 1) % len(sources)
+                return Action(RECEIVE, sender=sources[start % len(sources)])
+        self.prefer_receive[proc] = True
+        if world.procs[proc].pending_broadcast is not None:
+            return Action(CONTINUE_BROADCAST)
+        rate = self._rates.get(proc, self._rates.get(0, 0.0))
+        if 0.0 < rate < 1.0:
+            return Action(BEGIN_BROADCAST, increment=self.workload_rng.random() < rate)
+        return Action(BEGIN_BROADCAST, increment=rate >= 1.0)
 
 
 def _recorded_picks(scheduler_cls, seed, steps, plan, config):
