@@ -56,7 +56,10 @@ class ShadowTracker:
     shadow under its snapshot, and a merged receive looks up the arriving
     snapshot, which the receiver keeps as ``pairs[sender]``.  A snapshot no
     send stored (an injected message, or a broadcast begun before the
-    tracker attached) has no baseline to join.  A ``restart_local``
+    tracker attached) has no baseline to join.  Only a snapshot some
+    channel or pending broadcast still holds can arrive again, so the
+    store keeps just those: whenever it has doubled since it was last
+    swept, a first send rebuilds it from the world.  A ``restart_local``
     changes no shadow: the baseline never forgets, the local pair does,
     and the auditors exclude counting across a restart.
     """
@@ -77,6 +80,10 @@ class ShadowTracker:
         # id(snapshot) -> (snapshot, shadow at its broadcast's begin); the
         # snapshot is kept alive, so no other object can take its id.
         self.sent: Dict[int, Tuple[VectorClockPair, List[int]]] = {}
+        # Snapshots the world can hold at once: one per channel slot and
+        # pending broadcast; sweeping no sooner keeps its cost per send O(1).
+        self._held_max = config.m + n
+        self._sweep_at = 2 * self._held_max
 
     # -- observer interface ----------------------------------------------------
 
@@ -101,6 +108,8 @@ class ShadowTracker:
                         kept = shadows[-1]  # stored lists never change
                     else:
                         kept = list(shadow)
+                    if len(self.sent) >= self._sweep_at:
+                        self._sweep(world)
                     self.sent[id(snapshot)] = (snapshot, kept)
             elif kind == "receive" and event.detail["merged"]:
                 state = world.procs[proc]
@@ -111,7 +120,7 @@ class ShadowTracker:
                 mine[:] = map(max, mine, sent[1])
                 # The merged pair must equal the shadow join modulo MAXINT.
                 maxint, curr_m = self.config.maxint, state.local.curr_m
-                if any(a % maxint != b % maxint for a, b in zip(curr_m, mine)):
+                if [a % maxint for a in curr_m] != [b % maxint for b in mine]:
                     self.merge_violations.append(Violation(
                         "merge_join", event.step, proc, f"curr.m={curr_m} shadow={mine}"))
         # A step's events all name its processor; a fault changes no pair.
@@ -120,6 +129,19 @@ class ShadowTracker:
             self._record(last.step + 1, last.proc, world.procs[last.proc], kept)
 
     # -- internals ----------------------------------------------------------------
+
+    def _sweep(self, world: World) -> None:
+        """Drop the stored snapshots no channel or pending broadcast holds
+        (a crashed processor's included: it resumes its broadcast)."""
+        held = [entry.message.client.arriving
+                for channel in world.channels.values() for entry in channel.queue]
+        for proc in self.config.proc_ids:
+            pending = world.procs[proc].pending_broadcast
+            if pending is not None:
+                held.append(pending.snapshot)
+        sent = self.sent
+        self.sent = {id(pair): sent[id(pair)] for pair in held if id(pair) in sent}
+        self._sweep_at = 2 * max(len(self.sent), self._held_max)
 
     def _record(self, step: int, proc: int, state: ProcessorState,
                 shadow: Optional[List[int]] = None) -> None:
@@ -222,27 +244,55 @@ def check_requirement1(tracker: ShadowTracker, total_steps: int,
     For every sampled (state, later state, processor) with no intervening
     restart and at most one era change for that processor, the pair query
     must return exactly the number of increment events the trace shows.
+    Samples come grouped by processor and then by anchor ``lo``, so each
+    processor's lists are fetched, and each anchor's bisects done, once.
     """
     violations: List[Violation] = []
-    for proc, lo, hi in _sample_pairs(total_steps, tracker.config.proc_ids):
-        restarts = restart_steps.get(proc)
+    proc = lo = None
+    for sample_proc, sample_lo, hi in _sample_pairs(total_steps, tracker.config.proc_ids):
+        if sample_proc != proc:
+            proc, lo = sample_proc, None
+            steps, pairs = tracker.snap_steps[proc], tracker.snap_pairs[proc]
+            era, increments = tracker.era_prefix(proc), tracker.increment_steps[proc]
+            restarts = restart_steps.get(proc)
+        if sample_lo != lo:
+            lo = sample_lo
+            # The snapshot holding state c_lo (none before the first).
+            xi = bisect_right(steps, lo) - 1
+            increments_lo = bisect_left(increments, lo)
+            restarts_lo = bisect_right(restarts, lo - 1) if restarts else 0
         # Restart at step s mutates state c_{s+1}: exclude s in [lo, hi-1].
-        if restarts and _count_in(restarts, lo - 1, hi - 1):
+        if restarts and bisect_right(restarts, hi - 1) > restarts_lo:
             continue
-        # The snapshots holding states c_lo and c_hi (none before the first).
-        steps, era = tracker.snap_steps[proc], tracker.era_prefix(proc)
-        xi = bisect_right(steps, lo) - 1
         yi = bisect_right(steps, hi) - 1
         if xi < 0 or era[yi] - era[xi] > 1:
             continue
-        zx, zy = tracker.snap_pairs[proc][xi], tracker.snap_pairs[proc][yi]
-        expected = tracker.increments_between(proc, lo, hi)
-        got = event_count_query(zx, zy, proc)
+        expected = bisect_left(increments, hi) - increments_lo
+        got = event_count_query(pairs[xi], pairs[yi], proc)
         if got is None or got != expected:
             violations.append(Violation(
                 "requirement1", hi, proc,
                 f"steps {lo}->{hi}: query={got} trace={expected}"))
     return violations
+
+
+def _static_ids(tracker: ShadowTracker) -> List[List[int]]:
+    """Per processor, each snapshot's static part as a small integer:
+    two snapshots share one exactly when ``equal_static`` holds.  A
+    snapshot in its predecessor's era takes its id; only an era change
+    looks its static part up."""
+    table: Dict[tuple, int] = {}
+    ids: List[List[int]] = [[] for _ in tracker.snap_pairs]
+    for proc in tracker.config.proc_ids:
+        era, out = tracker.era_prefix(proc), ids[proc]
+        for idx, pair in enumerate(tracker.snap_pairs[proc]):
+            if idx and era[idx] == era[idx - 1]:
+                out.append(out[-1])
+            else:
+                # Labels compare and hash by =_m, as equal_static compares them.
+                key = (pair.curr_label, pair.prev_label, tuple(pair.mid), tuple(pair.prev_o))
+                out.append(table.setdefault(key, len(table)))
+    return ids
 
 
 def check_causal(tracker: ShadowTracker, segments: List[Tuple[int, int]],
@@ -257,8 +307,9 @@ def check_causal(tracker: ShadowTracker, segments: List[Tuple[int, int]],
     Each draw is ``Random._randbelow(n)`` spelled out, ``getrandbits`` until
     a value below n, so the samples are those of ``choice`` and
     ``randrange`` without their call frames.  Pairs with equal static parts
-    (most samples) share both items and so count events since their current
-    one: each snapshot's vector clock value is computed once per audit.
+    (most samples, found by comparing interned ids) share both items and so
+    count events since their current one: each snapshot's vector clock
+    value is computed once per audit.
     """
     getrandbits = random.Random(seed).getrandbits
     procs = list(tracker.config.proc_ids)
@@ -266,7 +317,8 @@ def check_causal(tracker: ShadowTracker, segments: List[Tuple[int, int]],
     pbits = nprocs.bit_length()
     snap_steps, snap_pairs = tracker.snap_steps, tracker.snap_pairs
     snap_shadows = tracker.snap_shadows
-    vcs: Dict[int, List[int]] = {}  # id(snapshot) -> vc(snapshot)
+    static_ids = _static_ids(tracker)
+    vcs: List[List[Optional[List[int]]]] = [[None] * len(pairs) for pairs in snap_pairs]
     violations: List[Violation] = []
     for start, end in segments:
         if end <= start:
@@ -305,17 +357,17 @@ def check_causal(tracker: ShadowTracker, segments: List[Tuple[int, int]],
             yi = bisect_right(snap_steps[pj], sy) - 1
             if xi < 0 or yi < 0:
                 continue
-            zi, zj = snap_pairs[pi][xi], snap_pairs[pj][yi]
-            if equal_static(zi, zj):
+            if static_ids[pi][xi] == static_ids[pj][yi]:
                 # The pivot is both current items: events since it are vc.
-                left = vcs.get(id(zi))
+                left = vcs[pi][xi]
                 if left is None:
-                    left = vcs[id(zi)] = vc(zi)
-                right = vcs.get(id(zj))
+                    left = vcs[pi][xi] = vc(snap_pairs[pi][xi])
+                right = vcs[pj][yi]
                 if right is None:
-                    right = vcs[id(zj)] = vc(zj)
+                    right = vcs[pj][yi] = vc(snap_pairs[pj][yi])
                 got = left != right and all(map(le, left, right))
             else:
+                zi, zj = snap_pairs[pi][xi], snap_pairs[pj][yi]
                 pivot = exists_overlap(zi, zj)
                 if pivot is None:
                     # The precedence formula is defined through the common
@@ -340,10 +392,6 @@ def _split_windows(start: int, end: int, cuts: List[int]) -> List[Tuple[int, int
         hi = bounds[i + 2] if i + 2 < len(bounds) else end
         windows.append((bounds[i], hi))
     return windows or [(start, end)]
-
-
-def _count_in(sorted_steps: List[int], lo: int, hi: int) -> int:
-    return bisect_right(sorted_steps, hi) - bisect_right(sorted_steps, lo)
 
 
 # -- legal segments and statistics ---------------------------------------------------

@@ -14,6 +14,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from .errors import ScenarioError
 from .labels import Label, format_label
+from .vcpair import VectorClockPair
 
 TRACE_VERSION = "stablevc-trace v1"
 
@@ -25,7 +26,7 @@ FAULT_KINDS = frozenset({
 })
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceEvent:
     """One simulation event; ``detail`` is a small dict or None."""
 
@@ -34,8 +35,10 @@ class TraceEvent:
     kind: str
     detail: Optional[dict]
 
-    def render(self) -> str:
-        return f"{self.step}\t{self.proc}\t{self.kind}\t{_render_detail(self.detail)}"
+    def render(self, cache: Optional[dict] = None) -> str:
+        """The event's trace line without its newline; ``cache`` as for
+        ``_render_detail``."""
+        return f"{self.step}\t{self.proc}\t{self.kind}\t{_render_detail(self.detail, cache)}"
 
 
 def format_pair(pair) -> str:
@@ -56,21 +59,45 @@ def _label_digest(label: Label) -> str:
     return f"{label.creator}.{ml.sting}.{ml._lo}-{ml._hi}{mark}"
 
 
-def _render_value(value) -> str:
-    if isinstance(value, Label):
-        return _label_digest(value)
-    if isinstance(value, bool):
-        return "t" if value else "f"
-    if hasattr(value, "curr_m"):  # a pair: digest labels plus the counted vector
-        vcs = ",".join(str(v) for v in value.curr_m)
-        return f"{_label_digest(value.curr_label)}[{vcs}]"
-    return str(value)
+def _render_object(value, cache: dict) -> str:
+    """A label's or pair's digest (any other value's ``str``), rendered once
+    per cache: the cache keeps the value, so no other object takes its id."""
+    hit = cache.get(id(value))
+    if hit is None:
+        kind = type(value)
+        if kind is Label:
+            text = _label_digest(value)
+        elif kind is VectorClockPair:  # digest labels plus the counted vector
+            text = f"{_render_object(value.curr_label, cache)}[{','.join(map(str, value.curr_m))}]"
+        else:
+            text = str(value)
+        hit = cache[id(value)] = (value, text)
+    return hit[1]
 
 
-def _render_detail(detail: Optional[dict]) -> str:
+def _render_detail(detail: Optional[dict], cache: Optional[dict] = None) -> str:
+    """``key=value`` in key order.  ``cache``, shared by the lines of one
+    rendering, holds each label's and pair's text by id and each tuple of
+    detail keys' sorted order; labels and pairs never change once traced."""
     if not detail:
         return "-"
-    return " ".join(f"{key}={_render_value(detail[key])}" for key in sorted(detail))
+    if cache is None:
+        cache = {}
+    keys = tuple(detail)
+    order = cache.get(keys)
+    if order is None:
+        order = cache[keys] = sorted(keys)
+    parts = []
+    for key in order:
+        value = detail[key]
+        kind = type(value)
+        if kind is bool:
+            parts.append(f"{key}={'t' if value else 'f'}")
+        elif kind is int or kind is str:
+            parts.append(f"{key}={value}")
+        else:
+            parts.append(f"{key}={_render_object(value, cache)}")
+    return " ".join(parts)
 
 
 class Trace:
@@ -101,8 +128,9 @@ class Trace:
         yield f"#steps {self.steps}\n"
         for line in scenario_text.splitlines():
             yield f"#scenario:{line}\n"
+        cache: dict = {}
         for event in self.events:
-            yield event.render() + "\n"
+            yield event.render(cache) + "\n"
 
     def write(self, path: str, scenario_text: str = "") -> None:
         with open(path, "w", encoding="utf-8") as fh:

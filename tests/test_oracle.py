@@ -15,7 +15,6 @@ from stablevc.oracle import (
     InvariantMonitor,
     ShadowTracker,
     Violation,
-    _count_in,
     _sample_pairs,
     _split_windows,
     check_causal,
@@ -170,6 +169,71 @@ class TestMessageShadow:
         assert len(violations) == 1058
         assert (violations[0].step, violations[0].proc) == (737, 2)
         assert len(check_requirement1(tracker, trace.steps, restarts)) == 2
+
+
+class _PendingAtCrash:
+    """Observer placed after a ShadowTracker: the snapshot a processor's
+    pending broadcast holds when it crashes, and for each merged receive of
+    that snapshot, whether the tracker still stores its shadow."""
+
+    def __init__(self, tracker):
+        self.tracker, self.snapshot, self.found = tracker, None, []
+
+    def on_step(self, world, events):
+        for event in events:
+            if event.kind == "crash":
+                self.snapshot = world.procs[event.proc].pending_broadcast.snapshot
+            elif event.kind == "receive" and event.detail["merged"] \
+                    and world.procs[event.proc].pairs[event.detail["from"]] is self.snapshot:
+                self.found.append((event.step, id(self.snapshot) in self.tracker.sent))
+
+
+class TestSentSweep:
+    """``ShadowTracker.sent`` keeps only snapshots a channel or a pending
+    broadcast still holds, and every verdict is the one a tracker that
+    keeps every snapshot gives."""
+
+    @pytest.mark.parametrize("plan, steps", [
+        (FaultPlan(), 3000),
+        (DUPLICATES, 2000),
+        (CRASH_RESTART, 4000),
+    ])
+    def test_same_verdicts_as_keeping_every_snapshot(self, plan, steps, monkeypatch):
+        def verdicts():
+            trace, tracker, check = _found_shadow_run(plan, steps)
+            restarts = {}
+            for event in trace.by_kind("restart_local"):
+                restarts.setdefault(event.proc, []).append(event.step)
+            segments = find_legal_segments(trace)
+            revive_steps = sorted(e.step for e in trace.by_kind("revive"))
+            return len(tracker.sent), (
+                [e.render() for e in trace.events], check.checked, tracker.merge_violations,
+                check_requirement1(tracker, trace.steps, restarts),
+                check_causal(tracker, segments, revive_steps, seed=1))
+
+        swept, ours = verdicts()
+        monkeypatch.setattr(ShadowTracker, "_sweep", lambda self, world: None)
+        kept, everything = verdicts()
+        assert ours == everything
+        assert swept < 2 * (CFG_C2.m + CFG_C2.n) < kept
+
+    def test_crashed_processor_keeps_its_pending_snapshot(self):
+        # Processor 2 crashes mid-broadcast at step 284 and sends the rest of
+        # it after its restart at 684; its peers' 141 first sends sweep the
+        # store in between.  No era ends (MAXINT 256), so a peer merges it.
+        config = SystemConfig(n=3, c=2, maxint=256)
+        plan = FaultPlan(crash_at={2: 284}, restart_at={2: 684})
+        world = World.clean_start(config)
+        sched = RandomScheduler(3)
+        sched.configure_workload(3, {0: 0.5})
+        tracker = ShadowTracker(config)
+        probe = _PendingAtCrash(tracker)
+        trace = run(world, sched, 800, fault_plan=plan, observers=[tracker, probe])
+        firsts = [e for e in trace.events if e.kind == "send" and e.detail["first"]
+                  and 284 <= e.step < 684]
+        assert len(firsts) > 4 * (config.m + config.n)
+        assert all(stored for _step, stored in probe.found)
+        assert any(step > 684 for step, _stored in probe.found)
 
 
 class _SnapshotTexts:
@@ -385,6 +449,25 @@ class TestStats:
         assert "max_segment=10" in line
 
 
+@pytest.mark.parametrize("n, maxint, scope, seed", [
+    (2, 4, "all", 0), (3, 4, "channels", 1), (3, 16, "all", 2),
+    (4, 16, "channels", 3), (4, 4, "all", 4), (3, 8, "all", 5),
+])
+def test_f_r_counts_the_steps_holding_a_restart(n, maxint, scope, seed):
+    # On simulator traces a step without a restart_local is a legal interval
+    # on its own, so only the restart steps lie outside every segment.
+    config = SystemConfig(n=n, c=1 + seed % 2, maxint=maxint)
+    sched = RandomScheduler(seed)
+    sched.configure_workload(seed, {0: 0.5})
+    plan = FaultPlan(transient_seed=seed, transient_scope=scope,
+                     crash_at={2: 500}, restart_at={2: 900})
+    trace = run(World.clean_start(config), sched, 3000, fault_plan=plan,
+                trace_level="faults")
+    restart_steps = {e.step for e in trace.by_kind("restart_local")}
+    assert restart_steps and trace.count("revive")
+    assert stats(trace).f_r == len(restart_steps)
+
+
 class TestGlobalInvariants:
     def test_clean_world_true(self):
         world, _trace, _tracker, _m = clean_run(steps=500)
@@ -444,6 +527,11 @@ def ref_static_changes_between(tracker, proc, lo, hi):
             count += 1
         prev = pairs[idx]
     return count
+
+
+def _count_in(sorted_steps, lo, hi):
+    """Steps in (lo, hi] of a sorted list."""
+    return bisect.bisect_right(sorted_steps, hi) - bisect.bisect_right(sorted_steps, lo)
 
 
 def ref_check_requirement1(tracker, total_steps, restart_steps):
@@ -582,6 +670,26 @@ class TestAuditEquivalence:
         assert calls == []
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_requirement1_restart_exclusion_matches_reference(seed):
+    # Restart steps fed straight to both audits, each at an end of a sample
+    # that fails without restarts: lo - 1 and hi keep the sample, lo and
+    # hi - 1 exclude it.
+    _world, trace, tracker, _ = clean_run(**AUDITED_RUNS["wraparound"])
+    _tamper(tracker, seed)
+    free = check_requirement1(tracker, trace.steps, {})
+    rng = random.Random(seed)
+    restarts = {}
+    for violation in free:
+        lo = int(violation.detail.split()[1].split("->")[0])
+        hi = violation.step
+        restarts.setdefault(violation.proc, set()).add(rng.choice([lo - 1, lo, hi - 1, hi]))
+    restarts = {proc: sorted(steps) for proc, steps in restarts.items()}
+    ours = check_requirement1(tracker, trace.steps, restarts)
+    assert ours == ref_check_requirement1(tracker, trace.steps, restarts)
+    assert len(free) > 20 and 0 < len(ours) < len(free)
+
+
 # -- the causal audit's draws and vc shortcut -------------------------------------------
 
 
@@ -653,3 +761,57 @@ class TestCausalShortcut:
                                    samples_per_segment=300)
             assert ours == ref
             assert ref  # random shadows: the verdicts disagree somewhere
+
+    @staticmethod
+    def _tracker_of_distinct_objects(seed):
+        """Static parts equal under =_m but built from distinct label and
+        list objects on every processor, one label a canceled copy."""
+        rng = random.Random(seed)
+        maxint = CFG.maxint
+
+        def vector():
+            return [rng.randrange(maxint) for _ in range(CFG.n)]
+
+        mid, other, prev_o = vector(), vector(), vector()
+        tracker = ShadowTracker(CFG)
+        for proc in CFG.proc_ids:
+            la, lb, lc = (Label(1, LabelComponent(s, frozenset({s + 10}))) for s in (1, 2, 3))
+            if proc == 2:
+                la = la.with_cancel(LabelComponent(4, frozenset({5})))
+            statics = [
+                (la, list(mid), lb, list(mid)),
+                (lb, list(mid), lc, list(prev_o)),
+                (lc, list(other), la, list(mid)),
+                (la, list(mid), lb, list(prev_o)),
+            ]
+            pairs = []
+            for _ in range(40):
+                curr, m, prev, o = statics[rng.randrange(len(statics))]
+                pairs.append(VectorClockPair(curr, vector(), m, prev, o, maxint))
+            tracker.snap_steps[proc] = list(range(0, 200, 5))
+            tracker.snap_pairs[proc] = pairs
+            tracker.snap_shadows[proc] = [[rng.randrange(3) for _ in range(CFG.n)]
+                                          for _ in pairs]
+        return tracker
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("tampered", [False, True])
+    def test_distinct_objects_same_violations_as_reference(self, seed, tampered):
+        tracker = self._tracker_of_distinct_objects(seed)
+        if tampered:
+            _tamper(tracker, seed)
+        ours = check_causal(tracker, [(0, 199)], [70, 140], seed=seed, samples_per_segment=300)
+        ref = ref_check_causal(tracker, [(0, 199)], [70, 140], seed=seed,
+                               samples_per_segment=300)
+        assert ours == ref
+        assert ref
+
+    def test_equal_statics_across_processors_share_one_id(self):
+        tracker = self._tracker_of_distinct_objects(0)
+        ids = stablevc.oracle._static_ids(tracker)
+        for p in CFG.proc_ids:
+            for q in CFG.proc_ids:
+                for x, zx in enumerate(tracker.snap_pairs[p]):
+                    for y, zy in enumerate(tracker.snap_pairs[q]):
+                        assert (ids[p][x] == ids[q][y]) == equal_static(zx, zy)
+        assert len({i for p in CFG.proc_ids for i in ids[p]}) == 4

@@ -7,8 +7,11 @@ import pytest
 
 from stablevc.cli import EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR, EXIT_OK, execute_scenario, main
 from stablevc.errors import PreconditionViolated, ScenarioError
+from stablevc.labels import Label
 from stablevc.scenario import Scenario, load_scenario, parse_checks, parse_scenario
-from stablevc.simnet import FaultPlan
+from stablevc.simnet import FaultPlan, run
+from stablevc.trace import TRACE_VERSION, read_trace_file
+from stablevc.vcpair import VectorClockPair
 
 GOOD = """
 n = 3
@@ -456,6 +459,90 @@ class TestConvergedCheck:
         assert len(failures) == 1 and "\n" not in failures[0]
         assert failures[0].startswith("converged: ")
         assert failures[0].endswith(f"the last at step {last}")
+
+
+# Every event kind fires in these runs: revives (small MAXINT), crash and
+# restart, duplicates and reorders of non-empty channels, and a transient.
+EVERY_KIND = """
+n = 3
+c = 2
+maxint = 8
+steps = 600
+seed = {seed}
+scheduler = random
+increment_rate = 0.5
+checks = segments
+[faults]
+transient_seed = {seed}
+transient_scope = {scope}
+crash = 2@100
+restart = 2@150
+duplicate = 1>3@40, 3>1@200, 2>3@201
+reorder = 3>1@60, 1>2@220, 2>1@230
+"""
+KINDS = {"send", "receive", "ignored", "increment", "revive", "restart_local", "new_label",
+         "crash", "restart", "transient", "duplicate", "reorder"}
+
+
+def _ref_value(value):
+    """TRACE_SCHEMA.md's detail value forms, spelled out on their own."""
+    if isinstance(value, bool):
+        return "t" if value else "f"
+    if isinstance(value, Label):
+        anti = value.ml.antistings
+        lo, hi = (min(anti), max(anti)) if anti else (0, 0)
+        mark = f"!{value.cl.sting}" if value.cl is not None else ""
+        return f"{value.creator}.{value.ml.sting}.{lo}-{hi}{mark}"
+    if isinstance(value, VectorClockPair):
+        return f"{_ref_value(value.curr_label)}[{','.join(str(v) for v in value.curr_m)}]"
+    return str(value)
+
+
+def _ref_line(event):
+    detail = " ".join(f"{key}={_ref_value(event.detail[key])}"
+                      for key in sorted(event.detail)) if event.detail else "-"
+    return f"{event.step}\t{event.proc}\t{event.kind}\t{detail}\n"
+
+
+class TestTraceLines:
+    """``Trace.lines`` renders each shared label and pair once per call;
+    its lines are still the header plus each event's own rendering."""
+
+    @staticmethod
+    def _lines(scope, seed):
+        scenario = parse_scenario(EVERY_KIND.format(scope=scope, seed=seed))
+        trace = run(scenario.build_world(), scenario.build_scheduler(), scenario.steps,
+                    fault_plan=scenario.faults)
+        text = scenario.to_text()
+        header = [f"#{TRACE_VERSION}\n", f"#steps {trace.steps}\n"]
+        header += [f"#scenario:{line}\n" for line in text.splitlines()]
+        lines = list(trace.lines(text))
+        assert lines == header + [event.render() + "\n" for event in trace.events]
+        assert lines == header + [_ref_line(event) for event in trace.events]
+        return trace, lines
+
+    def test_every_kind_with_canceled_labels(self):
+        trace, lines = self._lines("all", 1)
+        assert set(trace.counts) == KINDS
+        # A transient leaves labels that carry a canceling component.
+        assert any("!" in line for line in lines if not line.startswith("#"))
+
+    def test_channels_transient_marks_injected_messages(self):
+        trace, lines = self._lines("channels", 2)
+        assert set(trace.counts) == KINDS
+        assert any("injected=t" in line for line in lines)
+
+    def test_read_back_trace(self, tmp_path):
+        path = tmp_path / "case.scenario"
+        path.write_text(EVERY_KIND.format(scope="all", seed=2))
+        assert main(["run", str(path), "--out", str(tmp_path)]) == EXIT_OK
+        text, _scenario_text, trace = read_trace_file(str(tmp_path / "case.trace"))
+        assert all(type(value) is str for event in trace.events if event.detail
+                   for value in event.detail.values())
+        written = text.splitlines(keepends=True)
+        events = [event.render() + "\n" for event in trace.events]
+        assert written[len(written) - len(events):] == events
+        assert list(trace.lines()) == written[:2] + events
 
 
 class TestBundledScenarios:
