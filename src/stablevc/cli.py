@@ -148,10 +148,10 @@ def cmd_run(paths: List[str], seed: Optional[int], steps: Optional[int],
 
 def cmd_replay(trace_path: str) -> int:
     try:
-        text, scenario_text, _recorded = read_trace_file(trace_path)
+        text, scenario_text, _recorded, linenos = read_trace_file(trace_path)
         if not scenario_text:
             raise ScenarioError(f"{trace_path}: no embedded scenario header")
-        scenario = parse_scenario(scenario_text, origin=trace_path)
+        scenario = parse_scenario(scenario_text, origin=trace_path, linenos=linenos)
         trace = sim_run(scenario.build_world(), scenario.build_scheduler(), scenario.steps,
                         fault_plan=scenario.faults)
     except StableVCError as exc:
@@ -170,7 +170,7 @@ def cmd_replay(trace_path: str) -> int:
 
 def cmd_stats(trace_path: str) -> int:
     try:
-        _text, _scenario_text, trace = read_trace_file(trace_path)
+        trace = read_trace_file(trace_path)[2]
     except ScenarioError as exc:
         print(_error_line(trace_path, str(exc)), file=sys.stderr)
         return EXIT_CONFIG_ERROR

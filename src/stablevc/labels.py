@@ -42,16 +42,17 @@ class LabelComponent:
     ``None`` and are found on first use by ``find_extrema``: most components
     are never validated or rendered, and each scan costs O(k).  ``valid_k``
     is the ``k`` the component last passed ``valid_under`` with (validity
-    depends on nothing else), or ``None``.
+    depends on nothing else), or ``None``; ``successor`` memoizes
+    ``successor_component``.
     """
 
-    __slots__ = ("sting", "antistings", "_hash", "_lo", "_hi", "valid_k", "__weakref__")
+    __slots__ = ("sting", "antistings", "_hash", "_lo", "_hi", "valid_k", "successor", "__weakref__")
 
     def __init__(self, sting: int, antistings: FrozenSet[int]):
         self.sting = sting
         self.antistings = antistings if isinstance(antistings, frozenset) else frozenset(antistings)
         self._hash = hash((sting, self.antistings))
-        self._lo = self._hi = self.valid_k = None
+        self._lo = self._hi = self.valid_k = self.successor = None
 
     def find_extrema(self) -> None:
         anti = self.antistings
@@ -250,10 +251,16 @@ def successor_component(comp: LabelComponent, cfg: LabelConfig) -> LabelComponen
     ordered under the component order (up to a k-era window).  When that
     chain holds more than k values, antistings above the parent's sting go
     before chain stings, so any valid parent lies below its successor.
+    The parent memoizes its successor under the config (k and domain size)
+    last asked: every processor that exhausts an epoch asks for the same.
     """
+    key = (cfg.k, cfg.domain_size)
+    if comp.successor is not None and comp.successor[0] == key:
+        return comp.successor[1]
     low_zone = cfg.k + 1
+    first = max(comp.sting, low_zone) + 1
     taken = comp.antistings.__contains__
-    sting = next(filterfalse(taken, range(max(comp.sting, low_zone) + 1, cfg.domain_size + 1)), None)
+    sting = next(filterfalse(taken, range(first, cfg.domain_size + 1)), None)
     if sting is None:
         # The sting budget wrapped (after ~k^2 epochs); restart the chain low.
         free = filterfalse(taken, range(1, cfg.domain_size + 1))
@@ -261,23 +268,20 @@ def successor_component(comp: LabelComponent, cfg: LabelConfig) -> LabelComponen
     if sting is None:
         raise DomainExhausted("no successor sting available")
     parent = comp.sting
-
-    def trim_rank(v: int):
-        # Values above the parent's sting are no chain stings (those rise up
-        # to the budget wrap): a transient left them, so they go first.  The
-        # ones the new sting jumped over go lowest first (no later sting can
-        # take them), the others highest first (the farthest from the stings
-        # to come).  Then the oldest chain stings; the parent's sting stays.
-        if v > parent:
-            return (0, v) if v < sting else (1, -v)
-        return (2, v) if v < parent else (3, 0)
-
     chain = {v for v in comp.antistings if v > low_zone}
     chain.add(parent)
     chain.discard(sting)
     while len(chain) > cfg.k:
-        chain.remove(min(chain, key=trim_rank))
-    return _padded_component(sting, chain, cfg)
+        # Values above the parent's sting are no chain stings (those rise up
+        # to the budget wrap): a transient left them, so they go first.  Those
+        # the new sting jumped over, [first, sting), lowest first (no later
+        # sting can take them), the others highest first (the farthest from the
+        # stings to come).  Then the oldest chain stings; the parent's last.
+        top = max(chain)
+        chain.remove(first if first < sting else top if top > parent else min(chain))
+        first += 1
+    comp.successor = (key, _padded_component(sting, chain, cfg))
+    return comp.successor[1]
 
 
 def next_label(own_history: Sequence[Label], creator: int, cfg: LabelConfig) -> Label:

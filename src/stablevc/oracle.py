@@ -295,6 +295,14 @@ def _static_ids(tracker: ShadowTracker) -> List[List[int]]:
     return ids
 
 
+def _step_index(steps: List[int], top: int) -> List[int]:
+    """``index[s] == bisect_right(steps, s) - 1`` for every step s < top."""
+    index: List[int] = []
+    for idx, bound in enumerate(steps + [top], -1):
+        index += [idx] * (min(bound, top) - len(index))
+    return index
+
+
 def check_causal(tracker: ShadowTracker, segments: List[Tuple[int, int]],
                  revive_steps: List[int], seed: int = 0,
                  samples_per_segment: int = 60) -> List[Violation]:
@@ -309,14 +317,15 @@ def check_causal(tracker: ShadowTracker, segments: List[Tuple[int, int]],
     ``randrange`` without their call frames.  Pairs with equal static parts
     (most samples, found by comparing interned ids) share both items and so
     count events since their current one: each snapshot's vector clock
-    value is computed once per audit.
+    value and each processor's ``_step_index`` are built once per audit.
     """
     getrandbits = random.Random(seed).getrandbits
     procs = list(tracker.config.proc_ids)
     nprocs = len(procs)
     pbits = nprocs.bit_length()
-    snap_steps, snap_pairs = tracker.snap_steps, tracker.snap_pairs
-    snap_shadows = tracker.snap_shadows
+    snap_pairs, snap_shadows = tracker.snap_pairs, tracker.snap_shadows
+    top = max((end for _start, end in segments), default=0)
+    snap_at = [[]] + [_step_index(tracker.snap_steps[p], top) for p in procs]  # procs 1..n
     static_ids = _static_ids(tracker)
     vcs: List[List[Optional[List[int]]]] = [[None] * len(pairs) for pairs in snap_pairs]
     violations: List[Violation] = []
@@ -353,8 +362,8 @@ def check_causal(tracker: ShadowTracker, segments: List[Tuple[int, int]],
                 sy = getrandbits(sbits)
             sx += lo
             sy += lo
-            xi = bisect_right(snap_steps[pi], sx) - 1
-            yi = bisect_right(snap_steps[pj], sy) - 1
+            xi = snap_at[pi][sx]
+            yi = snap_at[pj][sy]
             if xi < 0 or yi < 0:
                 continue
             if static_ids[pi][xi] == static_ids[pj][yi]:

@@ -131,11 +131,15 @@ class Scenario:
         return "\n".join(lines) + "\n"
 
 
-def parse_scenario(text: str, origin: str = "<scenario>") -> Scenario:
+def parse_scenario(text: str, origin: str = "<scenario>",
+                   linenos: Optional[List[int]] = None) -> Scenario:
+    """``linenos``, when given, number ``text``'s lines in messages: the
+    lines of the file that embeds the scenario."""
     plain: Dict[str, str] = {}
     faults: Dict[str, str] = {}
     section, known = plain, PLAIN_KEYS
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    lines = text.splitlines()
+    for lineno, raw in zip(linenos or range(1, len(lines) + 1), lines):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -148,13 +148,13 @@ def read_text_file(path: str) -> str:
         raise ScenarioError(f"{path}: cannot read: {reason}") from exc
 
 
-def read_trace_file(path: str) -> Tuple[str, str, Trace]:
+def read_trace_file(path: str) -> Tuple[str, str, Trace, List[int]]:
     """Read a trace file: (its exact text, the embedded scenario text, its
-    events as a "full" Trace).  The Trace's ``steps`` is the ``#steps``
-    header, or one past the last event's step when there is none.  Each
-    ``#scenario:`` line keeps its line number in the scenario text (the
-    lines between are blank), so the scenario parser names the trace's own
-    line.
+    events as a "full" Trace, the line number of each ``#scenario:`` line).
+    The Trace's ``steps`` is the ``#steps`` header, or one past the last
+    event's step when there is none.  The scenario text holds one line per
+    ``#scenario:`` line, so ``Trace.lines`` of it gives the header back; the
+    line numbers let the scenario parser name the trace's own line.
 
     Raises ScenarioError on an unreadable or non-UTF-8 file, a missing or
     mismatched version header, or a malformed ``#steps`` header or event
@@ -165,12 +165,13 @@ def read_trace_file(path: str) -> Tuple[str, str, Trace]:
     if not lines or lines[0] != f"#{TRACE_VERSION}":
         raise ScenarioError(f"{path}: missing or unsupported trace header")
     scenario_lines: List[str] = []
+    linenos: List[int] = []
     trace = Trace()
     steps: Optional[int] = None
     for lineno, line in enumerate(lines[1:], 2):
         if line.startswith("#scenario:"):
-            scenario_lines += [""] * (lineno - 1 - len(scenario_lines))
-            scenario_lines.append(line[len("#scenario:"):])
+            scenario_lines.append(line[len("#scenario:"):] + "\n")
+            linenos.append(lineno)
         elif line.startswith("#steps ") and steps is None:
             try:
                 steps = int(line[len("#steps "):])
@@ -186,4 +187,4 @@ def read_trace_file(path: str) -> Tuple[str, str, Trace]:
                 raise ScenarioError(f"{path}:{lineno}: malformed trace line: {line!r}") from None
     trace.steps = steps if steps is not None else (
         max((e.step for e in trace.events), default=0) + 1)
-    return text, "\n".join(scenario_lines), trace
+    return text, "".join(scenario_lines), trace, linenos

@@ -262,6 +262,53 @@ def test_successor_above_a_parent_whose_antistings_all_lie_above_it():
         ref_successor_component(comp.sting, comp.antistings, cfg)
 
 
+def _successors(comp, cfg, count):
+    out = [comp]
+    for _ in range(count):
+        out.append(successor_component(out[-1], cfg))
+    return [(c.sting, set(c.antistings)) for c in out[1:]]
+
+
+def test_successor_edge_shapes_stay_pinned():
+    # The two limits of the trim, at k = 3 (|D| = 10).  The sting-budget
+    # wrap restarts the sting low, in the padding zone [1, k + 1].
+    cfg = LabelConfig(k=3)
+    assert _successors(LabelComponent(10, frozenset({7, 8, 9})), cfg, 2) == [
+        (1, {8, 9, 10}), (5, {1, 8, 9})]
+    # A block of antistings just above the sting: the first successor drops
+    # the block's top, later ones the block's rest before the chain stings.
+    assert _successors(LabelComponent(5, frozenset({8, 9, 10})), cfg, 3) == [
+        (6, {5, 8, 9}), (7, {5, 6, 8}), (9, {5, 6, 7})]
+
+
+def test_successor_memo_is_per_config():
+    # Equal k with another domain size, or equal domain size with another k,
+    # gives another successor; each config gets its own, in any order.
+    comp = LabelComponent(10, frozenset({7, 8, 9}))
+    configs = [LabelConfig(k=3), _stub_cfg(3, 20), _stub_cfg(2, 10), _stub_cfg(3, 10),
+               LabelConfig(k=3), _stub_cfg(3, 20)]
+    outs = set()
+    for cfg in configs:
+        out = successor_component(comp, cfg)
+        assert (out.sting, out.antistings) == \
+            ref_successor_component(comp.sting, comp.antistings, cfg)
+        outs.add(out)
+    assert len(outs) == 3
+
+
+def test_successor_memo_hit_is_the_interned_component():
+    cfg = LabelConfig(k=8)
+    comp = LabelComponent(12, frozenset({2, 3, 4, 5, 13, 14, 20, 30}))
+    first = successor_component(comp, cfg)
+    assert comp.successor == ((cfg.k, cfg.domain_size), first)
+    assert successor_component(comp, cfg) is first
+    # An equal parent without a memo computes it afresh and is handed the
+    # interned component the memo holds.
+    twin = LabelComponent(comp.sting, comp.antistings)
+    assert twin.successor is None
+    assert successor_component(twin, cfg) is first
+
+
 # -- the epoch chain stays ordered -------------------------------------------------
 
 EPOCHS = 8

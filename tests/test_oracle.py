@@ -17,6 +17,7 @@ from stablevc.oracle import (
     Violation,
     _sample_pairs,
     _split_windows,
+    _step_index,
     check_causal,
     check_requirement1,
     find_legal_segments,
@@ -668,6 +669,35 @@ class TestAuditEquivalence:
             for lo in range(0, trace.steps, 37):
                 tracker.static_changes_between(proc, lo, lo + 509)
         assert calls == []
+
+
+class TestStepIndex:
+    """check_causal finds a sample's snapshot by its step in a list built
+    once per audit, where the reference audit bisects the snapshot steps."""
+
+    @staticmethod
+    def _check(tracker, total_steps):
+        # Every state c_0 .. c_steps, and lists cut short of the last snapshots.
+        for top in (0, 1, total_steps // 2, total_steps + 1):
+            for proc in tracker.config.proc_ids:
+                steps = tracker.snap_steps[proc]
+                assert _step_index(steps, top) == \
+                    [bisect.bisect_right(steps, s) - 1 for s in range(top)]
+
+    @pytest.mark.parametrize("name", sorted(AUDITED_RUNS))
+    def test_matches_bisect_on_the_audited_runs(self, name):
+        _world, trace, tracker, _ = clean_run(**AUDITED_RUNS[name])
+        self._check(tracker, trace.steps)
+        _tamper(tracker, seed=len(name))
+        self._check(tracker, trace.steps)
+
+    def test_matches_bisect_across_a_crash_and_restart(self):
+        trace, tracker, _check = _found_shadow_run(CRASH_RESTART, 2000)
+        assert trace.count("crash") == trace.count("restart") == 1
+        # The crashed processor records no snapshot while it is down.
+        steps = tracker.snap_steps[2]
+        assert not any(300 < s <= 700 for s in steps)
+        self._check(tracker, trace.steps)
 
 
 @pytest.mark.parametrize("seed", range(3))

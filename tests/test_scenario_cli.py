@@ -536,13 +536,16 @@ class TestTraceLines:
         path = tmp_path / "case.scenario"
         path.write_text(EVERY_KIND.format(scope="all", seed=2))
         assert main(["run", str(path), "--out", str(tmp_path)]) == EXIT_OK
-        text, _scenario_text, trace = read_trace_file(str(tmp_path / "case.trace"))
+        text, scenario_text, trace, linenos = read_trace_file(str(tmp_path / "case.trace"))
         assert all(type(value) is str for event in trace.events if event.detail
                    for value in event.detail.values())
         written = text.splitlines(keepends=True)
         events = [event.render() + "\n" for event in trace.events]
         assert written[len(written) - len(events):] == events
         assert list(trace.lines()) == written[:2] + events
+        # The scenario text read back renders the file byte for byte.
+        assert "".join(trace.lines(scenario_text)) == text
+        assert linenos == [n for n, line in enumerate(written, 1) if line.startswith("#scenario:")]
 
 
 class TestBundledScenarios:
