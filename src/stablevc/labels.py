@@ -12,6 +12,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 from itertools import filterfalse
+from math import gcd
 from typing import FrozenSet, Iterable, Optional, Sequence, Set
 
 from .errors import DomainExhausted, PreconditionViolated
@@ -36,22 +37,23 @@ class LabelConfig:
 
 
 class LabelComponent:
-    """Immutable (sting, antistings) pair; hash precomputed for fast dedup.
+    """Immutable (sting, antistings) pair, hashed by its sting alone.
 
-    The antistings extrema ``_lo``/``_hi`` (0 for an empty set) start as
-    ``None`` and are found on first use by ``find_extrema``: most components
-    are never validated or rendered, and each scan costs O(k).  ``valid_k``
-    is the ``k`` the component last passed ``valid_under`` with (validity
-    depends on nothing else), or ``None``; ``successor`` memoizes
-    ``successor_component``.
+    Built with its antistings, or as a ``StridedComponent`` that builds them on
+    first read.  The extrema ``_lo``/``_hi`` of the antistings (0 for an empty
+    set) start as ``None`` and are found on first use by ``find_extrema``: most
+    components are never validated or rendered, and each scan costs O(k).
+    ``valid_k`` is the ``k`` the component last passed ``valid_under`` with
+    (validity depends on nothing else), or ``None``; a strided component is
+    valid by construction.  ``successor`` memoizes ``successor_component``.
     """
 
-    __slots__ = ("sting", "antistings", "_hash", "_lo", "_hi", "valid_k", "successor", "__weakref__")
+    __slots__ = ("sting", "antistings", "_stride", "_lo", "_hi", "valid_k", "successor",
+                 "__weakref__")
 
     def __init__(self, sting: int, antistings: FrozenSet[int]):
         self.sting = sting
         self.antistings = antistings if isinstance(antistings, frozenset) else frozenset(antistings)
-        self._hash = hash((sting, self.antistings))
         self._lo = self._hi = self.valid_k = self.successor = None
 
     def find_extrema(self) -> None:
@@ -59,18 +61,14 @@ class LabelComponent:
         self._lo, self._hi = (min(anti), max(anti)) if anti else (0, 0)
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.sting)
 
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
         if not isinstance(other, LabelComponent):
             return NotImplemented
-        return (
-            self._hash == other._hash
-            and self.sting == other.sting
-            and self.antistings == other.antistings
-        )
+        return self.sting == other.sting and self.antistings == other.antistings
 
     def __repr__(self) -> str:
         inner = ",".join(str(a) for a in sorted(self.antistings))
@@ -91,6 +89,30 @@ class LabelComponent:
         return False
 
 
+class StridedComponent(LabelComponent):
+    """Antistings (start + i*stride) % domain + 1 for i < k, built on first read,
+    which turns the component into a plain LabelComponent (a class with
+    ``__getattr__`` loses CPython's specialized attribute reads).  Valid as
+    built when gcd(stride, domain) = 1, domain = k^2 + 1 and 1 <= sting <= domain."""
+
+    __slots__ = ()
+
+    def __init__(self, sting: int, start: int, stride: int, k: int, domain: int):
+        self.sting, self._stride = sting, (start, stride, k, domain)
+        self._lo = self._hi = self.successor = None
+        self.valid_k = k if gcd(stride, domain) == 1 and 1 <= sting <= domain == k * k + 1 else None
+
+    def __getattr__(self, name: str) -> FrozenSet[int]:
+        if name != "antistings":
+            raise AttributeError(name)
+        start, stride, k, domain = self._stride
+        # Taking (x + 1) % domain maps the member `domain` to 0, swapped back.
+        anti = frozenset([v % domain for v in range(start + 1, start + 1 + k * stride, stride)])
+        self.antistings = anti = anti - {0} | {domain} if 0 in anti else anti
+        self.__class__ = LabelComponent
+        return anti
+
+
 class Label:
     """An epoch: creator id, main component ``ml``, optional canceling ``cl``.
 
@@ -105,7 +127,7 @@ class Label:
         self.creator = creator
         self.ml = ml
         self.cl = cl
-        self._hash = hash((creator, ml._hash))
+        self._hash = hash((creator, ml.sting))
 
     def __hash__(self) -> int:
         # Hash/equality follow =_m (creator + ml); cl is evidence only.

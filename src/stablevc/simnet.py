@@ -17,7 +17,7 @@ from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 from .errors import ActionNotEnabled, AlreadyCrashed, NotCrashed, PreconditionViolated
 from .labeling import ServerMessage, SystemConfig
-from .labels import Label, LabelComponent, next_b
+from .labels import Label, LabelComponent, StridedComponent, next_b
 from .protocol import (
     QUIET_NOTES,
     ClientMessage,
@@ -390,18 +390,16 @@ def inject_transient(world: World, seed: int, scope: str = "all") -> World:
 
 
 def _random_component(cfg, rng: random.Random) -> LabelComponent:
+    """A random valid component: a sting and a strided slice of the domain,
+    k distinct members, cheap to draw (a full k-of-k^2 sample is needlessly
+    slow here) and built only when read."""
     sting = rng.randint(1, cfg.domain_size)
-    # A strided slice of the domain: arbitrary-valued, k distinct members,
-    # cheap to draw (a full k-of-k^2 sample is needlessly slow here).
     domain = cfg.domain_size
     start = rng.randrange(domain)
     stride = rng.randrange(1, domain)
     while gcd(stride, domain) != 1:
         stride += 1
-    # Each member is (start + i*stride) % domain + 1; taking (x + 1) % domain
-    # instead maps the member `domain` to 0, which is swapped back.
-    anti = frozenset([v % domain for v in range(start + 1, start + 1 + cfg.k * stride, stride)])
-    return LabelComponent(sting, anti - {0} | {domain} if 0 in anti else anti)
+    return StridedComponent(sting, start, stride, cfg.k, domain)
 
 
 def _random_label(config: SystemConfig, rng: random.Random,

@@ -157,8 +157,9 @@ def read_trace_file(path: str) -> Tuple[str, str, Trace, List[int]]:
     line numbers let the scenario parser name the trace's own line.
 
     Raises ScenarioError on an unreadable or non-UTF-8 file, a missing or
-    mismatched version header, or a malformed ``#steps`` header or event
-    line; a bad line is named as ``<path>:<line>``.
+    mismatched version header, a malformed ``#steps`` header or one below 1,
+    a malformed event line, or an event step outside [0, steps); a bad line
+    is named as ``<path>:<line>``.
     """
     text = read_text_file(path)
     lines = text.splitlines()
@@ -177,14 +178,23 @@ def read_trace_file(path: str) -> Tuple[str, str, Trace, List[int]]:
                 steps = int(line[len("#steps "):])
             except ValueError:
                 raise ScenarioError(f"{path}:{lineno}: malformed header {line!r}") from None
+            if steps < 1:
+                raise ScenarioError(f"{path}:{lineno}: #steps must be >= 1, got {steps}")
+            last = max((e.step for e in trace.events), default=-1)
+            if last >= steps:
+                raise ScenarioError(
+                    f"{path}:{lineno}: #steps {steps} is not above event step {last}")
         elif not line.startswith("#"):
             try:
                 step, proc, kind, detail = line.split("\t")
+                at = int(step)
                 parsed = None if detail == "-" else dict(
                     chunk.partition("=")[::2] for chunk in detail.split(" "))
-                trace.append(TraceEvent(int(step), int(proc), kind, parsed))
+                trace.append(TraceEvent(at, int(proc), kind, parsed))
             except ValueError:
                 raise ScenarioError(f"{path}:{lineno}: malformed trace line: {line!r}") from None
+            if at < 0 or steps is not None and at >= steps:
+                raise ScenarioError(f"{path}:{lineno}: event step {at} is outside [0, #steps)")
     trace.steps = steps if steps is not None else (
         max((e.step for e in trace.events), default=0) + 1)
     return text, "".join(scenario_lines), trace, linenos

@@ -1,5 +1,6 @@
 """Label component construction: the set-building fast paths against their
-element-by-element reference versions, and extrema found on first use."""
+element-by-element reference versions, strided components against eager
+twins, and antistings and extrema built on first use."""
 
 import random
 from math import gcd
@@ -15,9 +16,14 @@ from stablevc.labels import (
     Label,
     LabelComponent,
     LabelConfig,
+    StridedComponent,
+    cancels,
+    format_label,
     next_b,
     next_b_from_sets,
     precedes_b,
+    precedes_lb,
+    preceq_lb,
     successor_component,
 )
 from stablevc.simnet import World, _random_component, inject_transient
@@ -371,13 +377,96 @@ def test_epoch_chain_stays_ordered(cfg, kind, seed):
         assert all(precedes_b(a, c) for a, c in zip(chain, chain[2:]))
 
 
-# -- extrema found on first use ----------------------------------------------------
+# -- strided components against their eager twins --------------------------------
 
-def _message_components(message):
+def _check_against_eager_twin(make, eager, k):
+    """Every answer a strided component of size ``k`` gives equals its eager
+    twin's.  ``make`` builds the strided component afresh for each question,
+    so each question starts from unset antistings."""
+    assert make() == eager and eager == make() and make() == make()
+    assert hash(make()) == hash(eager)
+    assert Label(2, make()) == Label(2, eager) and Label(2, eager) == Label(2, make())
+    assert hash(Label(2, make())) == hash(Label(2, eager))
+    for j in (k - 1, k, k + 1):
+        sized = _stub_cfg(j, j * j + 1)
+        assert make().valid_under(sized) == eager.valid_under(sized)
+    assert repr(make()) == repr(eager)
+    low = min(eager.antistings, default=1)
+    others = [eager, make(), LabelComponent(low, frozenset({eager.sting})),
+              LabelComponent(eager.sting, eager.antistings ^ {low}),  # same hash, not equal
+              LabelComponent(eager.sting + 1, eager.antistings | {eager.sting})]
+    assert make() != others[3] and others[3] != make()
+    for cl in (None, others[2]):
+        assert format_label(Label(2, make(), cl)) == format_label(Label(2, eager, cl))
+        assert _label_digest(Label(2, make(), cl)) == _label_digest(Label(2, eager, cl))
+    for other in others:
+        for theirs in (Label(1, other), Label(2, other), Label(2, other, others[2])):
+            for order in (precedes_lb, preceq_lb, cancels):
+                assert order(Label(2, make()), theirs) == order(Label(2, eager), theirs)
+                assert order(theirs, Label(2, make())) == order(theirs, Label(2, eager))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+@example(data=None)
+def test_strided_component_answers_as_its_eager_twin_small_k(data):
+    if data is None:  # a stride sharing a factor with |D| = 10: members repeat
+        k, sting, start, stride = 3, 4, 9, 5
+    else:
+        k = data.draw(st.integers(2, 8))
+        domain = k * k + 1
+        # Stings and strides outside the ranges _random_component draws from,
+        # too: such a component is no longer valid by construction.
+        sting = data.draw(st.integers(0, domain + 1))
+        start = data.draw(st.integers(0, 2 * domain))
+        stride = data.draw(st.integers(1, 2 * domain))
+    domain = k * k + 1
+    members = frozenset((start + i * stride) % domain + 1 for i in range(k))
+    _check_against_eager_twin(lambda: StridedComponent(sting, start, stride, k, domain),
+                              LabelComponent(sting, members), k)
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.integers(0, 2**32))
+def test_strided_component_answers_as_its_eager_twin_c4_sizing(seed):
+    eager = LabelComponent(*ref_random_component(C4_CFG, random.Random(seed)))
+    _check_against_eager_twin(lambda: _random_component(C4_CFG, random.Random(seed)), eager,
+                              C4_CFG.k)
+
+
+# -- antistings and extrema built on first use -------------------------------------
+
+def _message_labels(message):
     labels = [message.sender_max, message.last_sent]
     for pair in (message.client.arriving, message.client.rcvd_local):
         labels += [pair.curr_label, pair.prev_label]
-    for label in filter(None, labels):
+    return labels
+
+
+def _channel_labels(world):
+    return [label for ch in world.channels.values() for entry in ch.queue
+            for label in _message_labels(entry.message) if label is not None]
+
+
+def _processor_labels(world):
+    """Every label the processors hold: stored queues, max labels, pairs and
+    pending broadcasts."""
+    labels = []
+    for i in world.config.proc_ids:
+        proc = world.procs[i]
+        labels += [label for queue in proc.labeling.stored for label in queue]
+        labels += proc.labeling.max
+        for j in world.config.proc_ids:
+            labels += [proc.pairs[j].curr_label, proc.pairs[j].prev_label]
+        pending = proc.pending_broadcast
+        if pending is not None:
+            labels += [pending.snapshot.curr_label, pending.snapshot.prev_label,
+                       pending.sender_max]
+    return [label for label in labels if label is not None]
+
+
+def _components(labels):
+    for label in labels:
         yield label.ml
         if label.cl is not None:
             yield label.cl
@@ -386,10 +475,32 @@ def _message_components(message):
 def test_injected_components_have_no_extrema_yet():
     world = World.clean_start(SystemConfig(3, 2, 16))
     inject_transient(world, 5, scope="channels")
-    comps = [c for ch in world.channels.values() for entry in ch.queue
-             for c in _message_components(entry.message)]
+    comps = list(_components(_channel_labels(world)))
     assert len(comps) > 20
     assert all(c._lo is None and c._hi is None for c in comps)
+
+
+@pytest.mark.parametrize("scope", ["all", "channels"])
+def test_injected_components_build_no_antistings(scope):
+    world = World.clean_start(SystemConfig(4, 2, 16))  # C4 sizing: k = 1,064
+    inject_transient(world, 11, scope=scope)
+    labels = _channel_labels(world) + (_processor_labels(world) if scope == "all" else [])
+    comps = list(_components(labels))
+    assert len(comps) > 100
+    # The slot's member descriptor raises for an unset slot without falling
+    # back to __getattr__, which would build the set.
+    slot = LabelComponent.__dict__["antistings"]
+    for comp in comps:
+        with pytest.raises(AttributeError):
+            slot.__get__(comp, LabelComponent)
+    # Equal components and labels hash equal, eager copies included.
+    comps += [LabelComponent(c.sting, c.antistings) for c in comps[::4]]
+    labels += [Label(lab.creator, LabelComponent(lab.ml.sting, lab.ml.antistings), lab.cl)
+               for lab in labels[::4]]
+    for group in (comps, labels):
+        for a in group:
+            for b in group:
+                assert a != b or hash(a) == hash(b)
 
 
 def test_valid_under_rejects_on_first_query():

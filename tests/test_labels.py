@@ -12,6 +12,7 @@ from stablevc.labels import (
     Label,
     LabelComponent,
     LabelConfig,
+    StridedComponent,
     cancels,
     eq_m,
     format_label,
@@ -232,6 +233,34 @@ class TestEquality:
     def test_format(self):
         lab = Label(3, comp(9, {2, 7}), cl=comp(4, {1, 9}))
         assert format_label(lab) == "3:9:{2,7}!4"
+
+    def test_hash_follows_the_sting_and_equality_the_whole_component(self):
+        # Equal stings, different antistings: equal hashes, unequal values.
+        same, other = comp(5, {1, 2, 3}), comp(5, {1, 2, 4})
+        assert hash(same) == hash(other) == hash(comp(5, {1, 2, 3}))
+        assert same == comp(5, {1, 2, 3}) and same != other and other != same
+        assert hash(Label(2, same)) == hash(Label(2, other, cl=same))
+        assert Label(2, same) != Label(2, other)
+        assert len({same, other, comp(5, {3, 2, 1})}) == 2
+
+    def test_strided_antistings_built_once_on_first_read(self):
+        # Members (start + i*stride) % 10 + 1 for i < 3: 10, 3 and 6.
+        lazy = StridedComponent(7, 9, 3, 3, 10)
+        slot = LabelComponent.__dict__["antistings"]
+        with pytest.raises(AttributeError):
+            slot.__get__(lazy, LabelComponent)
+        assert hash(lazy) == hash(comp(7, {3, 6, 10})) and lazy.valid_k == 3
+        assert type(lazy) is StridedComponent and isinstance(lazy, LabelComponent)
+        assert lazy == comp(7, {3, 6, 10})
+        # The first read stores the set and leaves a plain component behind.
+        assert type(lazy) is LabelComponent
+        assert slot.__get__(lazy, LabelComponent) is lazy.antistings
+        assert lazy.antistings == frozenset({3, 6, 10})
+        # Any other missing attribute still raises, on either kind of component.
+        for c in (lazy, comp(7, {3, 6, 10})):
+            with pytest.raises(AttributeError):
+                c.missing
+            assert getattr(c, "_stride", None) == ((9, 3, 3, 10) if c is lazy else None)
 
 
 @settings(max_examples=200, deadline=None)

@@ -265,6 +265,30 @@ class TestCli:
             err = capsys.readouterr().err
             assert err == f"{missing}: error: cannot read: No such file or directory\n"
 
+    @pytest.mark.parametrize("body, message", [
+        ("#steps -5\n", "2: error: #steps must be >= 1, got -5"),
+        ("#steps 0\n0\t1\tsend\t-\n", "2: error: #steps must be >= 1, got 0"),
+        ("#steps 10\n3\t1\tsend\t-\n50\t1\trestart_local\t-\n",
+         "4: error: event step 50 is outside [0, #steps)"),
+        ("#steps 10\n10\t1\tsend\t-\n", "3: error: event step 10 is outside [0, #steps)"),
+        ("-1\t1\tsend\t-\n", "2: error: event step -1 is outside [0, #steps)"),
+        ("3\t1\tsend\t-\n50\t1\tsend\t-\n#steps 10\n",
+         "4: error: #steps 10 is not above event step 50"),
+    ])
+    def test_bad_steps_exit_two_naming_the_line(self, tmp_path, capsys, body, message):
+        bad = tmp_path / "bad.trace"
+        bad.write_text(f"#{TRACE_VERSION}\n{body}")
+        for command in ("stats", "replay"):
+            capsys.readouterr()
+            assert main([command, str(bad)]) == EXIT_CONFIG_ERROR
+            assert capsys.readouterr() == ("", f"{bad}:{message}\n")
+
+    def test_steps_bounds_admit_every_event_step_below_them(self, tmp_path, capsys):
+        good = tmp_path / "good.trace"
+        good.write_text(f"#{TRACE_VERSION}\n#steps 10\n0\t1\tsend\t-\n9\t1\trestart_local\t-\n")
+        assert main(["stats", str(good)]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("stats steps=10 ")
+
     def test_replay_names_the_first_differing_line(self, tmp_path, capsys):
         path = self._write(tmp_path, GOOD)
         main(["run", path, "--out", str(tmp_path)])
