@@ -13,7 +13,7 @@ import weakref
 from dataclasses import dataclass, field
 from itertools import filterfalse
 from math import gcd
-from typing import FrozenSet, Iterable, Optional, Sequence, Set
+from typing import FrozenSet, Iterable, Optional, Set
 
 from .errors import DomainExhausted, PreconditionViolated
 
@@ -48,8 +48,8 @@ class LabelComponent:
     valid by construction.  ``successor`` memoizes ``successor_component``.
     """
 
-    __slots__ = ("sting", "antistings", "_stride", "_lo", "_hi", "valid_k", "successor",
-                 "__weakref__")
+    __slots__ = ("sting", "antistings", "_stride", "_inverse", "_lo", "_hi", "valid_k",
+                 "successor", "__weakref__")
 
     def __init__(self, sting: int, antistings: FrozenSet[int]):
         self.sting = sting
@@ -93,14 +93,16 @@ class StridedComponent(LabelComponent):
     """Antistings (start + i*stride) % domain + 1 for i < k, built on first read,
     which turns the component into a plain LabelComponent (a class with
     ``__getattr__`` loses CPython's specialized attribute reads).  Valid as
-    built when gcd(stride, domain) = 1, domain = k^2 + 1 and 1 <= sting <= domain."""
+    built when gcd(stride, domain) = 1 (``_inverse``, the stride's inverse
+    modulo the domain, is None otherwise), domain = k^2 + 1 and 1 <= sting <= domain."""
 
     __slots__ = ()
 
     def __init__(self, sting: int, start: int, stride: int, k: int, domain: int):
         self.sting, self._stride = sting, (start, stride, k, domain)
+        inverse = self._inverse = pow(stride, -1, domain) if gcd(stride, domain) == 1 else None
         self._lo = self._hi = self.successor = None
-        self.valid_k = k if gcd(stride, domain) == 1 and 1 <= sting <= domain == k * k + 1 else None
+        self.valid_k = k if inverse is not None and 1 <= sting <= domain == k * k + 1 else None
 
     def __getattr__(self, name: str) -> FrozenSet[int]:
         if name != "antistings":
@@ -202,11 +204,24 @@ def incomparable(a: Label, b: Label) -> bool:
     return not precedes_lb(a, b) and not precedes_lb(b, a)
 
 
+def _holds(comp: LabelComponent, x: int) -> bool:
+    """``x in comp.antistings``, with no set built for a strided component whose
+    stride is invertible: x - 1 = start + i*stride mod domain for one i < domain."""
+    if type(comp) is StridedComponent and comp._inverse is not None:
+        start, _, k, domain = comp._stride
+        return 1 <= x <= domain and (x - start - 1) * comp._inverse % domain < k
+    return x in comp.antistings
+
+
 def cancels(a: Label, b: Label) -> bool:
     """True when a is evidence that b is obsolete: they share a creator and
     a is neither below b nor =_m equal to it, so either the two are
-    incomparable or b lies strictly below a."""
-    return a.creator == b.creator and not preceq_lb(a, b)
+    incomparable or b lies strictly below a: ``not preceq_lb(a, b)``, asked
+    without building a strided component's antistings unless the stings match."""
+    if a.creator != b.creator:
+        return False
+    am, bm = a.ml, b.ml
+    return not (am is bm or (_holds(bm, am.sting) and not _holds(am, bm.sting)) or am == bm)
 
 
 def next_b(inputs: Iterable[LabelComponent], cfg: LabelConfig) -> LabelComponent:
@@ -304,23 +319,6 @@ def successor_component(comp: LabelComponent, cfg: LabelConfig) -> LabelComponen
         first += 1
     comp.successor = (key, _padded_component(sting, chain, cfg))
     return comp.successor[1]
-
-
-def next_label(own_history: Sequence[Label], creator: int, cfg: LabelConfig) -> Label:
-    """Create a fresh legitimate label above every label in ``own_history``.
-
-    The history must contain only labels of the given creator; both main and
-    canceling components feed the construction, so the output dominates every
-    history entry as well as every canceler recorded there.
-    """
-    comps = []
-    for lab in own_history:
-        if lab.creator != creator:
-            raise PreconditionViolated("next_label history must match the creator")
-        comps.append(lab.ml)
-        if lab.cl is not None:
-            comps.append(lab.cl)
-    return Label(creator, next_b(comps, cfg))
 
 
 def format_label(label: Label) -> str:

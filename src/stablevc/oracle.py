@@ -157,29 +157,6 @@ class ShadowTracker:
 
     # -- queries -----------------------------------------------------------------
 
-    def pair_at(self, proc: int, step: int) -> Optional[VectorClockPair]:
-        """The processor's local pair in state c_step (before the step runs)."""
-        idx = bisect_right(self.snap_steps[proc], step) - 1
-        return self.snap_pairs[proc][idx] if idx >= 0 else None
-
-    def shadow_at(self, proc: int, step: int) -> Optional[List[int]]:
-        idx = bisect_right(self.snap_steps[proc], step) - 1
-        return self.snap_shadows[proc][idx] if idx >= 0 else None
-
-    def increments_between(self, proc: int, lo: int, hi: int) -> int:
-        """Increment events of ``proc`` between states c_lo and c_hi
-        (i.e. during steps lo..hi-1)."""
-        steps = self.increment_steps[proc]
-        return bisect_left(steps, hi) - bisect_left(steps, lo)
-
-    def static_changes_between(self, proc: int, lo: int, hi: int) -> int:
-        """Era changes (revive or adoption or restart) of ``proc`` in (lo, hi]."""
-        steps = self.snap_steps[proc]
-        prefix = self.era_prefix(proc)
-        start = max(bisect_right(steps, lo) - 1, 0)
-        end = bisect_right(steps, hi) - 1
-        return prefix[end] - prefix[start] if end > start else 0
-
     def era_prefix(self, proc: int) -> List[int]:
         """Era changes among ``proc``'s snapshots 0..idx, for every idx."""
         pairs = self.snap_pairs[proc]

@@ -100,7 +100,7 @@ class ProcessorState:
     """All per-processor state: the pair vector, labeling layer, broadcast buffer."""
 
     __slots__ = ("id", "cfg", "peers", "labeling", "pairs", "pending_broadcast",
-                 "_vouched", "_joined")
+                 "_vouched", "_joined", "_outbox")
 
     def __init__(self, proc_id: int, cfg: SystemConfig):
         self.id = proc_id
@@ -115,6 +115,7 @@ class ProcessorState:
         # _joined[j]: (pair from j, local pair it merged into with no revive)
         # for the last such merge of a pair from j.
         self._joined: List[Tuple] = [(None, None)] * (cfg.n + 1)
+        self._outbox: List[Optional[ServerMessage]] = [None] * (cfg.n + 1)  # [j]: last to j
 
     # ``local`` is an alias for pairs[id].
     @property
@@ -226,8 +227,9 @@ class ProcessorState:
         step returns the shared empty record, since it never increments,
         mints, revives or restarts.
         """
-        # Pairs inside messages are shared immutable snapshots: every mutation
-        # path in the protocol works on a fresh copy, never in place.
+        # Messages and their pairs are shared immutable values (the protocol
+        # changes only fresh copies), so the last message to dest goes again
+        # while its own fields are what a new one would carry.
         pending = self.pending_broadcast
         try:
             remaining = pending.remaining
@@ -237,8 +239,13 @@ class ProcessorState:
         token = self.pairs[dest]
         if token is None:
             token = VectorClockPair.fresh(self.labeling.get_label(), self.cfg.n, self.cfg.maxint)
-        message = ServerMessage(pending.sender_max, pending.echoes[dest],
-                                ClientMessage(pending.snapshot, token))
+        sender_max, echo, snapshot = pending.sender_max, pending.echoes[dest], pending.snapshot
+        message = self._outbox[dest]
+        if message is None or message.sender_max is not sender_max \
+                or message.last_sent is not echo or message.client.arriving is not snapshot \
+                or message.client.rcvd_local is not token:
+            message = self._outbox[dest] = ServerMessage(
+                sender_max, echo, ClientMessage(snapshot, token))
         if not remaining:
             self.pending_broadcast = None
         return dest, message, notes

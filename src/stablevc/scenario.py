@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Tuple
 from .errors import PreconditionViolated, ScenarioError
 from .labeling import SystemConfig
 from .simnet import FaultPlan, RandomScheduler, RoundRobinScheduler, Scheduler, World
-from .trace import read_text_file
+from .trace import canonical_int, read_text_file
 
 DEFAULT_CHECKS = ("req1", "causal", "segments", "global_inv", "local_inv")
 # Checks that compare against the fault-free shadow baseline, which a run
@@ -137,6 +137,7 @@ def parse_scenario(text: str, origin: str = "<scenario>",
     lines of the file that embeds the scenario."""
     plain: Dict[str, str] = {}
     faults: Dict[str, str] = {}
+    where: Dict[str, int] = {}  # key -> its line (no key is in both sections)
     section, known = plain, PLAIN_KEYS
     lines = text.splitlines()
     for lineno, raw in zip(linenos or range(1, len(lines) + 1), lines):
@@ -157,41 +158,48 @@ def parse_scenario(text: str, origin: str = "<scenario>",
         if key in section:
             raise ScenarioError(f"{origin}:{lineno}: key {key!r} given twice")
         section[key] = value.strip()
-
-    def need(key: str) -> str:
+        where[key] = lineno
+    for key in ("n", "c", "maxint", "steps"):
         if key not in plain:
             raise ScenarioError(f"{origin}: missing required key {key!r}")
-        return plain[key]
+
+    def parsed(key: str, parse=canonical_int, section=plain, default=None):
+        if key not in section:
+            return default
+        try:
+            return parse(section[key])
+        except ValueError as exc:
+            raise ScenarioError(f"{origin}:{where[key]}: {key}: {exc}") from None
 
     try:
-        transient_seed = int(faults["transient_seed"]) if "transient_seed" in faults else None
+        transient_seed = parsed("transient_seed", section=faults)
         rate_overrides = {}
-        for key, value in plain.items():
+        for key in plain:
             if key.startswith("increment_rate."):
                 proc = int(key.split(".", 1)[1])
                 if proc in rate_overrides:
                     raise ScenarioError(f"{origin}: processor {proc} named twice "
                                         f"in increment_rate keys, again as {key!r}")
-                rate_overrides[proc] = float(value)
+                rate_overrides[proc] = parsed(key, float)
         return Scenario(
-            n=int(need("n")),
-            c=int(need("c")),
-            maxint=int(need("maxint")),
-            steps=int(need("steps")),
-            seed=int(plain.get("seed", "0")),
+            n=parsed("n"),
+            c=parsed("c"),
+            maxint=parsed("maxint"),
+            steps=parsed("steps"),
+            seed=parsed("seed", default=0),
             scheduler=plain.get("scheduler", "round_robin"),
-            increment_rate=float(plain.get("increment_rate", "0.0")),
+            increment_rate=parsed("increment_rate", float, default=0.0),
             rate_overrides=rate_overrides,
-            k_override=int(plain["k"]) if "k" in plain else None,
+            k_override=parsed("k"),
             checks=parse_checks(plain.get("checks", "all"), origin,
                                 transient=transient_seed is not None),
             faults=FaultPlan(
                 transient_seed=transient_seed,
                 transient_scope=faults.get("transient_scope", "all"),
-                crash_at=_parse_proc_steps(faults.get("crash", ""), origin),
-                restart_at=_parse_proc_steps(faults.get("restart", ""), origin),
-                duplications=_parse_channel_steps(faults.get("duplicate", ""), origin),
-                reorders=_parse_channel_steps(faults.get("reorder", ""), origin),
+                crash_at=parsed("crash", _parse_proc_steps, faults, {}),
+                restart_at=parsed("restart", _parse_proc_steps, faults, {}),
+                duplications=parsed("duplicate", _parse_channel_steps, faults, []),
+                reorders=parsed("reorder", _parse_channel_steps, faults, []),
             ),
         )
     except ScenarioError:
@@ -223,7 +231,7 @@ def load_scenario(path: str) -> Scenario:
     return parse_scenario(read_text_file(path), origin=path)
 
 
-def _parse_proc_steps(value: str, origin: str) -> Dict[int, int]:
+def _parse_proc_steps(value: str) -> Dict[int, int]:
     out: Dict[int, int] = {}
     for chunk in value.split(","):
         chunk = chunk.strip()
@@ -231,14 +239,15 @@ def _parse_proc_steps(value: str, origin: str) -> Dict[int, int]:
             continue
         proc, sep, step = chunk.partition("@")
         if not sep:
-            raise ScenarioError(f"{origin}: expected proc@step, got {chunk!r}")
-        if int(proc) in out:
-            raise ScenarioError(f"{origin}: processor {int(proc)} named twice in {value!r}")
-        out[int(proc)] = int(step)
+            raise ValueError(f"expected proc@step, got {chunk!r}")
+        proc = canonical_int(proc)
+        if proc in out:
+            raise ValueError(f"processor {proc} named twice in {value!r}")
+        out[proc] = canonical_int(step)
     return out
 
 
-def _parse_channel_steps(value: str, origin: str) -> List[Tuple[int, int, int]]:
+def _parse_channel_steps(value: str) -> List[Tuple[int, int, int]]:
     out: List[Tuple[int, int, int]] = []
     for chunk in value.split(","):
         chunk = chunk.strip()
@@ -247,6 +256,6 @@ def _parse_channel_steps(value: str, origin: str) -> List[Tuple[int, int, int]]:
         link, sep, step = chunk.partition("@")
         src, sep2, dst = link.partition(">")
         if not sep or not sep2:
-            raise ScenarioError(f"{origin}: expected src>dst@step, got {chunk!r}")
-        out.append((int(src), int(dst), int(step)))
+            raise ValueError(f"expected src>dst@step, got {chunk!r}")
+        out.append((canonical_int(src), canonical_int(dst), canonical_int(step)))
     return out

@@ -58,7 +58,7 @@ _RECEIVE_FROM = _ReceiveActions()
 
 
 class ChannelEntry:
-    """A message in flight, and whether fault injection put it there."""
+    """A message in flight and whether fault injection put it there (immutable, shared)."""
 
     __slots__ = ("message", "injected")
 
@@ -74,9 +74,10 @@ class Channel:
     shared by every channel into ``dst``): the channel's ``src`` is in it,
     in id order, exactly while the queue holds a message.  Queue changes
     that can empty or fill it go through ``send``, ``receive`` and ``clear``.
+    ``send`` appends its last entry again for the same message and flag.
     """
 
-    __slots__ = ("src", "dst", "capacity", "queue", "ready")
+    __slots__ = ("src", "dst", "capacity", "queue", "ready", "_last")
 
     def __init__(self, src: int, dst: int, capacity: int,
                  ready: Optional[List[int]] = None):
@@ -85,6 +86,7 @@ class Channel:
         self.capacity = capacity
         self.queue: Deque[ChannelEntry] = deque(maxlen=capacity)
         self.ready: List[int] = [] if ready is None else ready
+        self._last: Optional[ChannelEntry] = None
 
     def send(self, message: ServerMessage, injected: bool = False) -> bool:
         """Append a message; returns True when the oldest entry was overwritten."""
@@ -92,7 +94,10 @@ class Channel:
         size = len(queue)
         if not size:
             insort(self.ready, self.src)
-        queue.append(ChannelEntry(message, injected))  # a full deque drops its head
+        entry = self._last
+        if entry is None or entry.message is not message or entry.injected != injected:
+            entry = self._last = ChannelEntry(message, injected)
+        queue.append(entry)  # a full deque drops its head
         return size == self.capacity
 
     def receive(self) -> ChannelEntry:

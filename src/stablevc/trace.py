@@ -148,6 +148,15 @@ def read_text_file(path: str) -> str:
         raise ScenarioError(f"{path}: cannot read: {reason}") from exc
 
 
+def canonical_int(text: str) -> int:
+    """``int(text)`` if ``str`` writes the integer as ``text`` (no plus sign,
+    leading zero, underscore or space); ValueError otherwise."""
+    value = int(text)
+    if str(value) != text:
+        raise ValueError(f"not a canonical integer: {text!r}")
+    return value
+
+
 def read_trace_file(path: str) -> Tuple[str, str, Trace, List[int]]:
     """Read a trace file: (its exact text, the embedded scenario text, its
     events as a "full" Trace, the line number of each ``#scenario:`` line).
@@ -157,9 +166,8 @@ def read_trace_file(path: str) -> Tuple[str, str, Trace, List[int]]:
     line numbers let the scenario parser name the trace's own line.
 
     Raises ScenarioError on an unreadable or non-UTF-8 file, a missing or
-    mismatched version header, a malformed ``#steps`` header or one below 1,
-    a malformed event line, or an event step outside [0, steps); a bad line
-    is named as ``<path>:<line>``.
+    mismatched version header, a bad or second ``#steps`` header, a malformed
+    event line, or an event step outside [0, steps), naming ``<path>:<line>``.
     """
     text = read_text_file(path)
     lines = text.splitlines()
@@ -173,9 +181,11 @@ def read_trace_file(path: str) -> Tuple[str, str, Trace, List[int]]:
         if line.startswith("#scenario:"):
             scenario_lines.append(line[len("#scenario:"):] + "\n")
             linenos.append(lineno)
-        elif line.startswith("#steps ") and steps is None:
+        elif line.startswith("#steps "):
+            if steps is not None:
+                raise ScenarioError(f"{path}:{lineno}: second #steps header")
             try:
-                steps = int(line[len("#steps "):])
+                steps = canonical_int(line[len("#steps "):])
             except ValueError:
                 raise ScenarioError(f"{path}:{lineno}: malformed header {line!r}") from None
             if steps < 1:
@@ -187,10 +197,10 @@ def read_trace_file(path: str) -> Tuple[str, str, Trace, List[int]]:
         elif not line.startswith("#"):
             try:
                 step, proc, kind, detail = line.split("\t")
-                at = int(step)
+                at = canonical_int(step)
                 parsed = None if detail == "-" else dict(
                     chunk.partition("=")[::2] for chunk in detail.split(" "))
-                trace.append(TraceEvent(at, int(proc), kind, parsed))
+                trace.append(TraceEvent(at, canonical_int(proc), kind, parsed))
             except ValueError:
                 raise ScenarioError(f"{path}:{lineno}: malformed trace line: {line!r}") from None
             if at < 0 or steps is not None and at >= steps:

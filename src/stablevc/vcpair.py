@@ -172,16 +172,6 @@ def exists_overlap(loc: VectorClockPair, arr: VectorClockPair) -> Optional[Pivot
     return None
 
 
-def new_events(pair: VectorClockPair, pivot: Pivot) -> List[int]:
-    """Events the pair counts since the pivot item, as exact naturals.
-
-    When the pivot matches ``curr`` this is the plain vector clock value;
-    when it matches ``prev`` the previous era's events are added on top, so
-    entries may exceed MAXINT.
-    """
-    return _events_since(pair, pivot.label, pivot.vector)
-
-
 def merge(loc: VectorClockPair, arr: VectorClockPair,
           pivot: Optional[Pivot] = None) -> VectorClockPair:
     """Join two pairs sharing a pivot: keep the greater static part, take

@@ -23,7 +23,6 @@ from stablevc.labels import (
     cancels,
     incomparable,
     next_b,
-    next_label,
     precedes_b,
     precedes_lb,
 )
@@ -37,6 +36,8 @@ from stablevc.oracle import (
     stats,
 )
 from stablevc.simnet import FaultPlan, RandomScheduler, RoundRobinScheduler, World, run
+
+from test_labels import next_label
 
 HERE = os.path.dirname(__file__)
 SCENARIOS = os.path.join(HERE, "..", "scenarios")

@@ -11,12 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stablevc.errors import DomainExhausted
-from stablevc.labeling import SystemConfig
+from stablevc.labeling import LabelingState, SystemConfig
 from stablevc.labels import (
     Label,
     LabelComponent,
     LabelConfig,
     StridedComponent,
+    _holds,
     cancels,
     format_label,
     next_b,
@@ -432,6 +433,75 @@ def test_strided_component_answers_as_its_eager_twin_c4_sizing(seed):
     eager = LabelComponent(*ref_random_component(C4_CFG, random.Random(seed)))
     _check_against_eager_twin(lambda: _random_component(C4_CFG, random.Random(seed)), eager,
                               C4_CFG.k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+@example(data=None)
+def test_strided_membership_answers_as_the_built_set(data):
+    """``_holds`` on an unbuilt strided component, over values outside the
+    domain too, and ``cancels`` between two of them, against eager twins;
+    only a stride sharing a factor with the domain builds the set."""
+    if data is None:  # a stride sharing a factor with |D| = 10
+        k, stings, starts, strides, xs = 3, (4, 7), (9, 2), (5, 3), range(-11, 22)
+    else:
+        k = data.draw(st.integers(2, 8))
+        domain = k * k + 1
+        stings = data.draw(st.tuples(st.integers(0, domain + 1), st.integers(0, domain + 1)))
+        starts = data.draw(st.tuples(st.integers(0, 2 * domain), st.integers(0, 2 * domain)))
+        strides = data.draw(st.tuples(st.integers(1, 2 * domain), st.integers(1, 2 * domain)))
+        xs = data.draw(st.lists(st.integers(-domain, 2 * domain), max_size=12))
+    domain = k * k + 1
+
+    def make(i):
+        return StridedComponent(stings[i], starts[i], strides[i], k, domain)
+
+    eager = [LabelComponent(stings[i], frozenset((starts[i] + j * strides[i]) % domain + 1
+                                                 for j in range(k))) for i in (0, 1)]
+    for x in [*xs, -1, 0, 1, domain, domain + 1, *eager[0].antistings]:
+        comp = make(0)
+        assert _holds(comp, x) == (x in eager[0].antistings)
+        assert (type(comp) is StridedComponent) == (gcd(strides[0], domain) == 1)
+    for creators in ((2, 2), (1, 2), (2, 1)):
+        for i, j in ((0, 1), (1, 0), (0, 0)):
+            lazy = [make(0), make(1)]
+            got = cancels(Label(creators[0], lazy[i]), Label(creators[1], lazy[j]))
+            assert got == cancels(Label(creators[0], eager[i]), Label(creators[1], eager[j]))
+            if stings[0] != stings[1] and gcd(strides[0], domain) == gcd(strides[1], domain) == 1:
+                assert all(type(c) is StridedComponent for c in lazy)
+
+
+def _stored_view(state):
+    return [[(label.creator, label.ml.sting, label.cl and label.cl.sting) for label in queue]
+            for queue in state.stored]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_cross_cancel_leaves_injected_components_unbuilt(seed):
+    """Legitimate labels over injected components, three per queue at C4
+    sizing, resolve as their eager twins do without building a set."""
+    config = SystemConfig(4, 2, 16)
+    states = []
+    for eager in (False, True):
+        rng = random.Random(seed)
+        state = LabelingState(1, config)
+        for j in config.proc_ids:
+            for _ in range(3):
+                comp = _random_component(config.label_config, rng)
+                if eager:
+                    comp = LabelComponent(comp.sting, comp.antistings)
+                state.stored[j].append(Label(j, comp))
+        state._cross_cancel()
+        states.append(state)
+    lazy, eager = states
+    assert _stored_view(lazy) == _stored_view(eager)
+    assert all(label.cl is not None for queue in lazy.stored for label in queue)
+    slot = LabelComponent.__dict__["antistings"]
+    for queue in lazy.stored:
+        for label in queue:
+            for comp in (label.ml, label.cl):
+                with pytest.raises(AttributeError):
+                    slot.__get__(comp, LabelComponent)
 
 
 # -- antistings and extrema built on first use -------------------------------------

@@ -6,7 +6,9 @@ import pytest
 
 from stablevc.errors import NotReady, PreconditionViolated
 from stablevc.labeling import LabelingState, ServerMessage, SystemConfig
-from stablevc.labels import Label, LabelComponent, eq_m, next_label, precedes_lb
+from stablevc.labels import Label, LabelComponent, eq_m, precedes_lb
+
+from test_labels import next_label
 
 
 CFG = SystemConfig(n=3, c=1, maxint=16)

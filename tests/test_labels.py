@@ -18,7 +18,6 @@ from stablevc.labels import (
     format_label,
     incomparable,
     next_b,
-    next_label,
     precedes_b,
     precedes_lb,
     successor_component,
@@ -27,6 +26,21 @@ from stablevc.labels import (
 
 def comp(sting, antistings):
     return LabelComponent(sting, frozenset(antistings))
+
+
+def next_label(own_history, creator, cfg):
+    """A fresh legitimate label above every label in ``own_history``, all of
+    them ``creator``'s: main and canceling components feed ``next_b``, so the
+    output dominates every entry and every canceler recorded there.  The
+    reference ``LabelingState._mint`` is checked against."""
+    comps = []
+    for lab in own_history:
+        if lab.creator != creator:
+            raise PreconditionViolated("next_label history must match the creator")
+        comps.append(lab.ml)
+        if lab.cl is not None:
+            comps.append(lab.cl)
+    return Label(creator, next_b(comps, cfg))
 
 
 class TestPrecedesB:

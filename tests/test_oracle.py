@@ -70,8 +70,8 @@ class TestShadowEquivalence:
         first_revive = min((e.step for e in trace.by_kind("revive")), default=10**9)
         for step in range(0, min(first_revive, 400), 7):
             for i in CFG.proc_ids:
-                pair = tracker.pair_at(i, step)
-                shadow = tracker.shadow_at(i, step)
+                pair = pair_at(tracker, i, step)
+                shadow = shadow_at(tracker, i, step)
                 assert vc(pair) == [v % CFG.maxint for v in shadow]
 
     def test_merge_join_exact_through_wraps(self):
@@ -512,6 +512,36 @@ class TestGlobalInvariants:
         assert global_invariants(world)
 
 
+# -- tracker queries: by bisection over a ShadowTracker's change-logs ----------------
+
+
+def pair_at(tracker, proc, step):
+    """The processor's local pair in state c_step (before the step runs)."""
+    idx = bisect.bisect_right(tracker.snap_steps[proc], step) - 1
+    return tracker.snap_pairs[proc][idx] if idx >= 0 else None
+
+
+def shadow_at(tracker, proc, step):
+    idx = bisect.bisect_right(tracker.snap_steps[proc], step) - 1
+    return tracker.snap_shadows[proc][idx] if idx >= 0 else None
+
+
+def increments_between(tracker, proc, lo, hi):
+    """Increment events of ``proc`` between states c_lo and c_hi (i.e. during
+    steps lo..hi-1)."""
+    steps = tracker.increment_steps[proc]
+    return bisect.bisect_left(steps, hi) - bisect.bisect_left(steps, lo)
+
+
+def static_changes_between(tracker, proc, lo, hi):
+    """Era changes (revive or adoption or restart) of ``proc`` in (lo, hi]."""
+    steps = tracker.snap_steps[proc]
+    prefix = tracker.era_prefix(proc)
+    start = max(bisect.bisect_right(steps, lo) - 1, 0)
+    end = bisect.bisect_right(steps, hi) - 1
+    return prefix[end] - prefix[start] if end > start else 0
+
+
 # -- reference audits: the linear-scan versions the bisecting ones replace ----------
 
 
@@ -543,11 +573,11 @@ def ref_check_requirement1(tracker, total_steps, restart_steps):
             continue
         if ref_static_changes_between(tracker, proc, lo, hi) > 1:
             continue
-        zx = tracker.pair_at(proc, lo)
-        zy = tracker.pair_at(proc, hi)
+        zx = pair_at(tracker, proc, lo)
+        zy = pair_at(tracker, proc, hi)
         if zx is None or zy is None:
             continue
-        expected = tracker.increments_between(proc, lo, hi)
+        expected = increments_between(tracker, proc, lo, hi)
         got = event_count_query(zx, zy, proc)
         if got is None or got != expected:
             violations.append(Violation(
@@ -573,10 +603,10 @@ def ref_check_causal(tracker, segments, revive_steps, seed=0, samples_per_segmen
             pj = procs[rng.randrange(len(procs))]
             sx = lo + rng.randrange(hi - lo)
             sy = lo + rng.randrange(hi - lo)
-            zi = tracker.pair_at(pi, sx)
-            zj = tracker.pair_at(pj, sy)
-            si = tracker.shadow_at(pi, sx)
-            sj = tracker.shadow_at(pj, sy)
+            zi = pair_at(tracker, pi, sx)
+            zj = pair_at(tracker, pj, sy)
+            si = shadow_at(tracker, pi, sx)
+            sj = shadow_at(tracker, pj, sy)
             if None in (zi, zj, si, sj):
                 continue
             if exists_overlap(zi, zj) is None:
@@ -648,7 +678,7 @@ class TestAuditEquivalence:
                 proc = rng.choice(CFG.proc_ids)
                 lo = rng.randrange(-2, upto + 2)
                 hi = lo + rng.choice([-1, 0, 1, 7, 61, 509, 4099])
-                assert (tracker.static_changes_between(proc, lo, hi)
+                assert (static_changes_between(tracker, proc, lo, hi)
                         == ref_static_changes_between(tracker, proc, lo, hi))
 
     def test_static_changes_compare_each_snapshot_once(self, monkeypatch):
@@ -661,13 +691,13 @@ class TestAuditEquivalence:
 
         monkeypatch.setattr(stablevc.oracle, "equal_static", counting_equal_static)
         for proc in CFG.proc_ids:
-            tracker.static_changes_between(proc, 0, 1)
+            static_changes_between(tracker, proc, 0, 1)
         snapshots = sum(len(tracker.snap_pairs[p]) for p in CFG.proc_ids)
         assert len(calls) == snapshots - CFG.n
         del calls[:]
         for proc in CFG.proc_ids:
             for lo in range(0, trace.steps, 37):
-                tracker.static_changes_between(proc, lo, lo + 509)
+                static_changes_between(tracker, proc, lo, lo + 509)
         assert calls == []
 
 

@@ -1,4 +1,4 @@
-"""Protocol handler tests: restart, revive, increment, broadcast, arrival."""
+"""Protocol handler tests: restart, revive, increment, broadcast, arrival, message reuse."""
 
 import pytest
 from hypothesis import assume, given, settings
@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from stablevc.errors import BroadcastInProgress, NoBroadcast
 from stablevc.labeling import ServerMessage, SystemConfig
 from stablevc.labels import Label, eq_m, format_label, precedes_lb
+from stablevc.oracle import InvariantMonitor, ShadowTracker, global_invariants
 from stablevc.protocol import ClientMessage, ProcessorState, StepNotes
-from stablevc.simnet import World
+from stablevc.simnet import Channel, FaultPlan, RandomScheduler, World, run
 from stablevc.trace import format_pair
 from stablevc.vcpair import (
     VectorClockPair,
@@ -432,3 +433,138 @@ class TestEqualStaticFastPath:
                         for a, b, o in zip(arriving.curr_m, before.curr_m, before.mid))
         if dominated and not exhausted(before):
             assert fast.local is before  # a no-op merge keeps the pair object
+
+
+# -- resending the unchanged message -------------------------------------------------
+
+
+def _broadcast(state, maybe_increment=False):
+    """One whole broadcast: dest -> message."""
+    dest, msg, _ = state.do_forever_begin(maybe_increment)
+    return {dest: msg, **{d: m for d, m, _ in drain_broadcast(state)}}
+
+
+class TestMessageReuse:
+    def test_unchanged_processor_resends_identical_messages(self):
+        world = clean_world()
+        state = world.procs[1]
+        first, second = _broadcast(state), _broadcast(state)
+        assert sorted(first) == [2, 3]
+        for dest in (2, 3):
+            assert second[dest] is first[dest]
+            msg = first[dest]
+            assert msg.client.arriving is state.local
+            assert msg.client.rcvd_local is state.pairs[dest]
+            assert msg.sender_max is state.labeling.max[1]
+            assert msg.last_sent is state.labeling.max[dest]
+
+    def test_increment_changes_the_snapshot_of_every_message(self):
+        world = clean_world()
+        state = world.procs[1]
+        first, second = _broadcast(state), _broadcast(state, maybe_increment=True)
+        for dest in (2, 3):
+            assert second[dest] is not first[dest]
+            assert second[dest].client.arriving is state.local
+            assert second[dest].client.rcvd_local is first[dest].client.rcvd_local
+
+    def test_receive_changes_only_the_senders_token(self):
+        world = clean_world()
+        state, peer = world.procs[1], world.procs[2]
+        first = _broadcast(state)
+        _dest, msg, _ = peer.do_forever_begin(False)
+        before = state.local
+        state.on_message(msg, 2)  # a pair with nothing new: a no-op merge
+        second = _broadcast(state)
+        assert state.local is before and state.pairs[2] is msg.client.arriving
+        assert second[2] is not first[2] and second[2].client.rcvd_local is state.pairs[2]
+        assert second[3] is first[3]
+
+    def test_echo_change_gives_a_fresh_message(self):
+        world = clean_world()
+        state = world.procs[1]
+        first = _broadcast(state)
+        held = state.labeling.max[3]
+        state.labeling.max[3] = Label(held.creator, held.ml, held.cl)  # =_m, new object
+        second = _broadcast(state)
+        assert second[3] is not first[3] and second[3].last_sent is state.labeling.max[3]
+        assert second[2] is first[2]
+
+    def test_sender_max_change_gives_fresh_messages(self):
+        world = clean_world()
+        state = world.procs[1]
+        first = _broadcast(state)
+        held = state.labeling.max[1]
+        state.labeling.max[1] = Label(held.creator, held.ml, held.cl)
+        second = _broadcast(state)
+        for dest in (2, 3):
+            assert second[dest] is not first[dest]
+            assert second[dest].sender_max is state.labeling.max[1]
+            assert second[dest].last_sent is first[dest].last_sent
+
+    def test_message_changed_after_sending_is_not_resent(self):
+        world = clean_world()
+        state = world.procs[1]
+        first = _broadcast(state)
+        token = first[2].client.rcvd_local
+        first[2].client.rcvd_local = token.copy()
+        held = state.labeling.max[1]
+        first[3].sender_max = Label(held.creator, held.ml)
+        second = _broadcast(state)
+        assert second[2] is not first[2] and second[2].client.rcvd_local is token
+        assert second[3] is not first[3] and second[3].sender_max is state.labeling.max[1]
+        assert _broadcast(state) == second
+
+
+def _without_reuse(monkeypatch):
+    """Make every send build its message and channel entry afresh."""
+    original_continue, original_send = ProcessorState.do_forever_continue, Channel.send
+
+    def fresh_continue(self, *args):
+        self._outbox[:] = [None] * len(self._outbox)
+        return original_continue(self, *args)
+
+    def fresh_send(self, message, injected=False):
+        self._last = None
+        return original_send(self, message, injected)
+
+    monkeypatch.setattr(ProcessorState, "do_forever_continue", fresh_continue)
+    monkeypatch.setattr(Channel, "send", fresh_send)
+
+
+def _observed_run(plan, seed):
+    cfg = SystemConfig(n=3, c=2, maxint=16)
+    world = World.clean_start(cfg)
+    sched = RandomScheduler(seed)
+    sched.configure_workload(seed, {0: 0.3})
+    tracker, monitor = ShadowTracker(cfg), InvariantMonitor()
+    trace = run(world, sched, 3000, fault_plan=FaultPlan(**plan),
+                observers=[tracker, monitor])
+    return (list(trace.lines()), [str(v) for v in tracker.merge_violations],
+            len(monitor.violations), global_invariants(world))
+
+
+@pytest.mark.parametrize("plan", [
+    dict(transient_seed=4, transient_scope="all"),
+    dict(transient_seed=6, transient_scope="channels"),
+    dict(duplications=[(1, 2, 30), (2, 3, 400), (3, 1, 900), (1, 3, 1500)],
+         reorders=[(2, 1, 60), (1, 2, 700), (3, 2, 1200)]),
+    dict(crash_at={2: 300}, restart_at={2: 800}),
+], ids=["transient_all", "transient_channels", "duplicate_reorder", "crash_restart"])
+def test_reuse_leaves_every_trace_line_unchanged(monkeypatch, plan):
+    sent = []
+    original_continue = ProcessorState.do_forever_continue
+
+    def spy(self, *args):
+        out = original_continue(self, *args)
+        sent.append(out[1])
+        return out
+
+    monkeypatch.setattr(ProcessorState, "do_forever_continue", spy)
+    reused = _observed_run(plan, seed=3)
+    messages = len(sent)
+    _without_reuse(monkeypatch)
+    fresh = _observed_run(plan, seed=3)
+    assert reused == fresh
+    assert len({id(m) for m in sent[:messages]}) < 0.9 * messages  # resends happened
+    assert len({id(m) for m in sent[messages:]}) == len(sent) - messages  # none here
+    assert reused[3]  # the final state is legal, with the reuse as without it

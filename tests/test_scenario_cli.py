@@ -274,6 +274,18 @@ class TestCli:
         ("-1\t1\tsend\t-\n", "2: error: event step -1 is outside [0, #steps)"),
         ("3\t1\tsend\t-\n50\t1\tsend\t-\n#steps 10\n",
          "4: error: #steps 10 is not above event step 50"),
+        # Non-canonical numerals and a second header, once read through int()
+        # or skipped as a comment.
+        ("#steps 10\n0\t1\tsend\t-\n#steps 5\n", "4: error: second #steps header"),
+        ("#steps 10\n#steps 10\n", "3: error: second #steps header"),
+        ("#steps 1_0\n", "2: error: malformed header '#steps 1_0'"),
+        ("#steps +10\n", "2: error: malformed header '#steps +10'"),
+        ("#steps 010\n", "2: error: malformed header '#steps 010'"),
+        ("#steps  10\n", "2: error: malformed header '#steps  10'"),
+        ("#steps 10\n+3\t1\tsend\t-\n", "3: error: malformed trace line: '+3\\t1\\tsend\\t-'"),
+        ("#steps 10\n3\t 1\tsend\t-\n", "3: error: malformed trace line: '3\\t 1\\tsend\\t-'"),
+        ("#steps 10\n3\t01\tsend\t-\n", "3: error: malformed trace line: '3\\t01\\tsend\\t-'"),
+        ("0_3\t1\tsend\t-\n", "2: error: malformed trace line: '0_3\\t1\\tsend\\t-'"),
     ])
     def test_bad_steps_exit_two_naming_the_line(self, tmp_path, capsys, body, message):
         bad = tmp_path / "bad.trace"
@@ -282,6 +294,43 @@ class TestCli:
             capsys.readouterr()
             assert main([command, str(bad)]) == EXIT_CONFIG_ERROR
             assert capsys.readouterr() == ("", f"{bad}:{message}\n")
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("steps = 400", "steps = 1_000", "5: error: steps: not a canonical integer: '1_000'"),
+        ("seed = 4", "seed = +7", "6: error: seed: not a canonical integer: '+7'"),
+        ("n = 3", "n = 03", "2: error: n: not a canonical integer: '03'"),
+        ("maxint = 16", "maxint = 1 6", "4: error: maxint: invalid literal for int() "
+                                        "with base 10: '1 6'"),
+        ("transient_seed = 5", "transient_seed = -0",
+         "11: error: transient_seed: not a canonical integer: '-0'"),
+        ("crash = 2@100", "crash = 2@+100", "13: error: crash: not a canonical integer: '+100'"),
+        ("duplicate = 1>3@40", "duplicate = 01>3@40",
+         "15: error: duplicate: not a canonical integer: '01'"),
+        ("reorder = 3>1@60", "reorder = 3>1@6_0",
+         "16: error: reorder: not a canonical integer: '6_0'"),
+        ("increment_rate = 0.1", "increment_rate = x",
+         "8: error: increment_rate: could not convert string to float: 'x'"),
+    ])
+    def test_run_rejects_non_canonical_numerals(self, tmp_path, capsys, old, new, message):
+        assert old in FAULTY
+        path = self._write(tmp_path, FAULTY.replace(old, new))
+        capsys.readouterr()
+        assert main(["run", path, "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr() == ("", f"{path}:{message}\n")
+        assert not (tmp_path / "case.trace").exists()
+
+    def test_replay_rejects_a_non_canonical_scenario_numeral(self, tmp_path, capsys):
+        path = self._write(tmp_path, GOOD)
+        main(["run", path, "--out", str(tmp_path)])
+        lines = (tmp_path / "case.trace").read_text().splitlines(keepends=True)
+        assert lines[5] == "#scenario:steps = 300\n"
+        lines[5] = "#scenario:steps = +300\n"
+        bad = tmp_path / "bad.trace"
+        bad.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(["replay", str(bad)]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == \
+            f"{bad}:6: error: steps: not a canonical integer: '+300'\n"
 
     def test_steps_bounds_admit_every_event_step_below_them(self, tmp_path, capsys):
         good = tmp_path / "good.trace"

@@ -63,6 +63,37 @@ class TestChannel:
         with pytest.raises(ActionNotEnabled):
             Channel(1, 2, 1).receive()
 
+    def test_same_message_and_flag_resend_the_entry(self):
+        ch = Channel(1, 2, capacity=2)
+        ch.send("m")
+        ch.send("m")
+        head, tail = ch.queue
+        assert head is tail and (head.message, head.injected) == ("m", False)
+        assert ch.receive() is ch.receive() is head
+        ch.send("m")  # the last entry goes again, on an empty queue too
+        assert ch.queue[0] is head
+
+    def test_other_message_or_flag_gives_a_fresh_entry(self):
+        ch = Channel(1, 2, capacity=3)
+        ch.send("m")
+        ch.send("m", injected=True)
+        ch.send("n", injected=True)
+        first, second, third = ch.queue
+        assert first is not second and second is not third
+        assert [(e.message, e.injected) for e in ch.queue] == [
+            ("m", False), ("m", True), ("n", True)]
+        third.message = "changed"  # an entry changed after its send goes no more
+        ch.send("n", injected=True)
+        assert ch.queue[-1] is not third and ch.queue[-1].message == "n"
+
+    def test_duplicate_fault_resends_the_head_entry(self):
+        world = World.clean_start(SystemConfig(n=3, c=2, maxint=16))
+        trace = run(world, ScriptedScheduler([(1, Action(BEGIN_BROADCAST))]), 2,
+                    fault_plan=FaultPlan(duplications=[(1, 2, 1)]))
+        assert trace.count("duplicate") == 1
+        head, tail = world.channels[(1, 2)].queue
+        assert head is tail
+
 
 class TestEnabledActions:
     def test_idle_processor_can_begin(self):

@@ -14,6 +14,7 @@ from stablevc.vcpair import (
     Pivot,
     VectorClockItem,
     VectorClockPair,
+    _events_since,
     causal_precedence,
     comparable_labels,
     eq_lo,
@@ -26,12 +27,19 @@ from stablevc.vcpair import (
     legit_pairs,
     lt_lo,
     merge,
-    new_events,
     pair_invar,
     vc,
 )
 
 MAXINT = 8
+
+
+def new_events(pair, pivot):
+    """Events the pair counts since the pivot item, as exact naturals: the
+    plain vector clock value when the pivot matches ``curr``, plus the
+    previous era's events when it matches ``prev`` (entries may exceed
+    MAXINT)."""
+    return _events_since(pair, pivot.label, pivot.vector)
 
 
 def lab(creator, sting, anti=(1, 2)):
