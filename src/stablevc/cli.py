@@ -25,7 +25,7 @@ from .oracle import (
     global_invariants,
     stats,
 )
-from .scenario import Scenario, load_scenario, parse_checks, parse_scenario
+from .scenario import Scenario, canonical_int, load_scenario, parse_checks, parse_scenario
 from .simnet import run as sim_run
 from .trace import read_trace_file
 
@@ -96,7 +96,7 @@ def _run_one(args) -> int:
             seed=scenario.seed if seed_override is None else seed_override,
             steps=scenario.steps if steps_override is None else steps_override,
             checks=(scenario.checks if checks_override is None
-                    else parse_checks(checks_override, "--checks",
+                    else parse_checks(checks_override,
                                       scenario.faults.transient_seed is not None)))
         _world, trace, summary, failures = execute_scenario(scenario)
         base = os.path.join(out_dir, os.path.splitext(os.path.basename(path))[0])
@@ -111,7 +111,7 @@ def _run_one(args) -> int:
             raise StableVCError(f"cannot write {exc.filename or out_dir}: "
                                 f"{exc.strerror or exc}") from exc
     except StableVCError as exc:
-        print(_error_line(path, str(exc)), file=sys.stderr)
+        print(_error_line(path, exc), file=sys.stderr)
         return EXIT_CONFIG_ERROR
     print(f"{path}: {summary.summary()}")
     for failure in failures:
@@ -122,24 +122,17 @@ def _run_one(args) -> int:
     return EXIT_OK
 
 
-def _error_line(path: str, message: str) -> str:
-    """``path[:line]: error: message``, naming the path once: messages from
-    the scenario parser already start with ``path:`` or ``path:line:``."""
-    prefix = path + ":"
-    if not message.startswith(prefix):
-        return f"{path}: error: {message}"
-    rest = message[len(prefix):]
-    line, sep, text = rest.partition(": ")
-    if sep and line.isdigit():
-        return f"{prefix}{line}: error: {text}"
-    return f"{path}: error: {rest.lstrip()}"
+def _error_line(path: str, exc: StableVCError) -> str:
+    """``path[:line]: error: message``, with the line a ScenarioError names."""
+    line = getattr(exc, "line", None)
+    return f"{path if line is None else f'{path}:{line}'}: error: {exc}"
 
 
 def cmd_run(paths: List[str], seed: Optional[int], steps: Optional[int],
             out_dir: str, jobs: int, checks: Optional[str] = None) -> int:
     tasks = [(path, seed, steps, out_dir, checks) for path in paths]
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             codes = list(pool.map(_run_one, tasks))
     else:
         codes = [_run_one(task) for task in tasks]
@@ -150,12 +143,12 @@ def cmd_replay(trace_path: str) -> int:
     try:
         text, scenario_text, _recorded, linenos = read_trace_file(trace_path)
         if not scenario_text:
-            raise ScenarioError(f"{trace_path}: no embedded scenario header")
-        scenario = parse_scenario(scenario_text, origin=trace_path, linenos=linenos)
+            raise ScenarioError("no embedded scenario header")
+        scenario = parse_scenario(scenario_text, linenos)
         trace = sim_run(scenario.build_world(), scenario.build_scheduler(), scenario.steps,
                         fault_plan=scenario.faults)
     except StableVCError as exc:
-        print(_error_line(trace_path, str(exc)), file=sys.stderr)
+        print(_error_line(trace_path, exc), file=sys.stderr)
         return EXIT_CONFIG_ERROR
     replayed = trace.lines(scenario.to_text())
     for lineno, (old, new) in enumerate(
@@ -172,7 +165,7 @@ def cmd_stats(trace_path: str) -> int:
     try:
         trace = read_trace_file(trace_path)[2]
     except ScenarioError as exc:
-        print(_error_line(trace_path, str(exc)), file=sys.stderr)
+        print(_error_line(trace_path, exc), file=sys.stderr)
         return EXIT_CONFIG_ERROR
     print(stats(trace).summary())
     return EXIT_OK
@@ -186,12 +179,12 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     p_run = sub.add_parser("run", help="run scenario files and check them")
     p_run.add_argument("scenarios", nargs="+", metavar="file")
-    p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--steps", type=int, default=None)
+    p_run.add_argument("--seed", type=canonical_int, default=None)
+    p_run.add_argument("--steps", type=canonical_int, default=None)
     p_run.add_argument("--out", default=os.environ.get("STABLEVC_OUT", "."))
     p_run.add_argument("--checks", default=None,
                        help="all, none, or a comma list (overrides the scenario)")
-    p_run.add_argument("--jobs", type=int, default=1)
+    p_run.add_argument("--jobs", type=canonical_int, default=1)
 
     p_replay = sub.add_parser("replay", help="re-simulate a trace and compare bytes")
     p_replay.add_argument("trace")

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from typing import Optional
+
 
 class StableVCError(Exception):
     """Base class for all package errors."""
@@ -42,4 +44,9 @@ class NoBroadcast(StableVCError):
 
 
 class ScenarioError(StableVCError):
-    """A scenario or trace file is malformed or inconsistent."""
+    """A scenario or trace file is malformed or inconsistent.  The text is
+    the message alone; ``line`` is the file's line at fault, or None."""
+
+    def __init__(self, message: str, line: Optional[int] = None):
+        super().__init__(message)
+        self.line = line

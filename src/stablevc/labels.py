@@ -9,7 +9,6 @@ that serves as evidence the label is obsolete.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from itertools import filterfalse
 from math import gcd
@@ -49,7 +48,7 @@ class LabelComponent:
     """
 
     __slots__ = ("sting", "antistings", "_stride", "_inverse", "_lo", "_hi", "valid_k",
-                 "successor", "__weakref__")
+                 "successor")
 
     def __init__(self, sting: int, antistings: FrozenSet[int]):
         self.sting = sting
@@ -148,20 +147,6 @@ class Label:
 
     def with_cancel(self, cl: LabelComponent) -> "Label":
         return Label(self.creator, self.ml, cl)
-
-
-# Independently minted but identical components (concurrent deterministic
-# creations) are interned so equality is almost always an identity check.
-_component_intern: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
-
-
-def intern_component(component: LabelComponent) -> LabelComponent:
-    key = (component.sting, component.antistings)
-    existing = _component_intern.get(key)
-    if existing is not None:
-        return existing
-    _component_intern[key] = component
-    return component
 
 
 def eq_m(a: Label, b: Label) -> bool:
@@ -263,8 +248,8 @@ def next_b_from_sets(stings: Set[int], blocked: Set[int], cfg: LabelConfig) -> L
 
 
 def _padded_component(sting: int, anti: Set[int], cfg: LabelConfig) -> LabelComponent:
-    """Intern (sting, anti) after padding ``anti`` up to k with the smallest
-    domain values that are neither in it nor ``sting``."""
+    """(sting, anti) after padding ``anti`` up to k with the smallest domain
+    values that are neither in it nor ``sting``."""
     need = cfg.k - len(anti)
     if need > 0:
         # [1, top] holds `need` such values unless it reaches the domain's end.
@@ -274,7 +259,7 @@ def _padded_component(sting: int, anti: Set[int], cfg: LabelConfig) -> LabelComp
         if len(free) < need:
             raise DomainExhausted("cannot pad antistings to size k")
         anti.update(sorted(free)[:need])
-    return intern_component(LabelComponent(sting, frozenset(anti)))
+    return LabelComponent(sting, frozenset(anti))
 
 
 def successor_component(comp: LabelComponent, cfg: LabelConfig) -> LabelComponent:

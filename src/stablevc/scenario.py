@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Tuple
 from .errors import PreconditionViolated, ScenarioError
 from .labeling import SystemConfig
 from .simnet import FaultPlan, RandomScheduler, RoundRobinScheduler, Scheduler, World
-from .trace import canonical_int, read_text_file
+from .trace import read_text_file
 
 DEFAULT_CHECKS = ("req1", "causal", "segments", "global_inv", "local_inv")
 # Checks that compare against the fault-free shadow baseline, which a run
@@ -26,6 +26,7 @@ OPT_IN_CHECKS = ("converged",)
 # Keys a file may give, once each; ``increment_rate.<p>`` is also a plain key.
 PLAIN_KEYS = frozenset({"n", "c", "maxint", "steps", "seed", "scheduler",
                         "increment_rate", "k", "checks"})
+RATE_PREFIX = "increment_rate."
 FAULT_KEYS = frozenset({"transient_seed", "transient_scope", "crash", "restart",
                         "duplicate", "reorder"})
 
@@ -131,10 +132,28 @@ class Scenario:
         return "\n".join(lines) + "\n"
 
 
-def parse_scenario(text: str, origin: str = "<scenario>",
-                   linenos: Optional[List[int]] = None) -> Scenario:
-    """``linenos``, when given, number ``text``'s lines in messages: the
-    lines of the file that embeds the scenario."""
+def canonical_int(text: str) -> int:
+    """``int(text)`` if ``str`` writes the integer as ``text`` (no plus sign,
+    leading zero, underscore or space); ValueError otherwise."""
+    value = int(text)
+    if str(value) != text:
+        raise ValueError(f"not a canonical integer: {text!r}")
+    return value
+
+
+def canonical_float(text: str) -> float:
+    """``float(text)`` if ``repr`` writes the float as ``text``, the form
+    ``Scenario.to_text`` writes; ValueError otherwise."""
+    value = float(text)
+    if repr(value) != text:
+        raise ValueError(f"not a canonical float: {text!r}")
+    return value
+
+
+def parse_scenario(text: str, linenos: Optional[List[int]] = None) -> Scenario:
+    """The scenario a file's text describes.  ``linenos``, when given,
+    number ``text``'s lines in errors: the lines of the file that embeds
+    the scenario."""
     plain: Dict[str, str] = {}
     faults: Dict[str, str] = {}
     where: Dict[str, int] = {}  # key -> its line (no key is in both sections)
@@ -148,20 +167,20 @@ def parse_scenario(text: str, origin: str = "<scenario>",
             section, known = faults, FAULT_KEYS
             continue
         if line.startswith("["):
-            raise ScenarioError(f"{origin}:{lineno}: unknown section {line}")
+            raise ScenarioError(f"unknown section {line}", lineno)
         key, sep, value = line.partition("=")
         if not sep:
-            raise ScenarioError(f"{origin}:{lineno}: expected 'key = value'")
+            raise ScenarioError("expected 'key = value'", lineno)
         key = key.strip()
-        if key not in known and not (section is plain and key.startswith("increment_rate.")):
-            raise ScenarioError(f"{origin}:{lineno}: unknown key {key!r}")
+        if key not in known and not (section is plain and key.startswith(RATE_PREFIX)):
+            raise ScenarioError(f"unknown key {key!r}", lineno)
         if key in section:
-            raise ScenarioError(f"{origin}:{lineno}: key {key!r} given twice")
+            raise ScenarioError(f"key {key!r} given twice", lineno)
         section[key] = value.strip()
         where[key] = lineno
     for key in ("n", "c", "maxint", "steps"):
         if key not in plain:
-            raise ScenarioError(f"{origin}: missing required key {key!r}")
+            raise ScenarioError(f"missing required key {key!r}")
 
     def parsed(key: str, parse=canonical_int, section=plain, default=None):
         if key not in section:
@@ -169,18 +188,10 @@ def parse_scenario(text: str, origin: str = "<scenario>",
         try:
             return parse(section[key])
         except ValueError as exc:
-            raise ScenarioError(f"{origin}:{where[key]}: {key}: {exc}") from None
+            raise ScenarioError(f"{key}: {exc}", where[key]) from None
 
+    transient_seed = parsed("transient_seed", section=faults)
     try:
-        transient_seed = parsed("transient_seed", section=faults)
-        rate_overrides = {}
-        for key in plain:
-            if key.startswith("increment_rate."):
-                proc = int(key.split(".", 1)[1])
-                if proc in rate_overrides:
-                    raise ScenarioError(f"{origin}: processor {proc} named twice "
-                                        f"in increment_rate keys, again as {key!r}")
-                rate_overrides[proc] = parsed(key, float)
         return Scenario(
             n=parsed("n"),
             c=parsed("c"),
@@ -188,11 +199,13 @@ def parse_scenario(text: str, origin: str = "<scenario>",
             steps=parsed("steps"),
             seed=parsed("seed", default=0),
             scheduler=plain.get("scheduler", "round_robin"),
-            increment_rate=parsed("increment_rate", float, default=0.0),
-            rate_overrides=rate_overrides,
+            increment_rate=parsed("increment_rate", canonical_float, default=0.0),
+            rate_overrides={  # each key's <p> suffix, then its value
+                parsed(key, lambda _: canonical_int(key[len(RATE_PREFIX):])):
+                    parsed(key, canonical_float)
+                for key in plain if key.startswith(RATE_PREFIX)},
             k_override=parsed("k"),
-            checks=parse_checks(plain.get("checks", "all"), origin,
-                                transient=transient_seed is not None),
+            checks=parse_checks(plain.get("checks", "all"), transient_seed is not None),
             faults=FaultPlan(
                 transient_seed=transient_seed,
                 transient_scope=faults.get("transient_scope", "all"),
@@ -202,15 +215,11 @@ def parse_scenario(text: str, origin: str = "<scenario>",
                 reorders=parsed("reorder", _parse_channel_steps, faults, []),
             ),
         )
-    except ScenarioError:
-        raise
     except PreconditionViolated as exc:
         raise ScenarioError(str(exc)) from exc
-    except (ValueError, KeyError) as exc:
-        raise ScenarioError(f"{origin}: {exc}") from exc
 
 
-def parse_checks(raw: str, origin: str, transient: bool = False) -> Tuple[str, ...]:
+def parse_checks(raw: str, transient: bool = False) -> Tuple[str, ...]:
     """The checks a ``checks`` value names: ``none`` or a comma list, in
     which ``all`` stands for the default checks, or for those a
     ``transient`` run supports.  Each name is kept once, where it first
@@ -223,12 +232,12 @@ def parse_checks(raw: str, origin: str, transient: bool = False) -> Tuple[str, .
                                  for name in (everything if part == "all" else (part,))))
     unknown = set(checks) - set(DEFAULT_CHECKS) - set(OPT_IN_CHECKS)
     if unknown:
-        raise ScenarioError(f"{origin}: unknown checks {sorted(unknown)}")
+        raise ScenarioError(f"unknown checks {sorted(unknown)}")
     return checks
 
 
 def load_scenario(path: str) -> Scenario:
-    return parse_scenario(read_text_file(path), origin=path)
+    return parse_scenario(read_text_file(path))
 
 
 def _parse_proc_steps(value: str) -> Dict[int, int]:

@@ -140,6 +140,8 @@ class FaultPlan:
                 raise PreconditionViolated(f"restart of {proc} must follow its crash")
         if self.transient_scope not in ("all", "channels"):
             raise PreconditionViolated(f"unknown transient scope {self.transient_scope!r}")
+        if self.transient_scope != "all" and self.transient_seed is None:
+            raise PreconditionViolated("transient_scope needs a transient_seed")
 
     def fault_steps(self) -> List[int]:
         """The step of every declared crash, restart, duplicate and reorder."""

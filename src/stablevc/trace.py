@@ -139,72 +139,62 @@ class Trace:
 
 def read_text_file(path: str) -> str:
     """A UTF-8 file's exact text, line ends as written; ScenarioError
-    ``<path>: cannot read: <reason>`` if it is unreadable or not UTF-8."""
+    ``cannot read: <reason>`` if it is unreadable or not UTF-8."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc  # an OSError's text repeats the path
-        raise ScenarioError(f"{path}: cannot read: {reason}") from exc
-
-
-def canonical_int(text: str) -> int:
-    """``int(text)`` if ``str`` writes the integer as ``text`` (no plus sign,
-    leading zero, underscore or space); ValueError otherwise."""
-    value = int(text)
-    if str(value) != text:
-        raise ValueError(f"not a canonical integer: {text!r}")
-    return value
+        raise ScenarioError(f"cannot read: {reason}") from exc
 
 
 def read_trace_file(path: str) -> Tuple[str, str, Trace, List[int]]:
-    """Read a trace file: (its exact text, the embedded scenario text, its
-    events as a "full" Trace, the line number of each ``#scenario:`` line).
-    The Trace's ``steps`` is the ``#steps`` header, or one past the last
-    event's step when there is none.  The scenario text holds one line per
-    ``#scenario:`` line, so ``Trace.lines`` of it gives the header back; the
-    line numbers let the scenario parser name the trace's own line.
+    """Read a trace file in the layout ``Trace.lines`` writes: (its exact
+    text, the embedded scenario text, its events as a "full" Trace, the line
+    number of each ``#scenario:`` line).  That layout is the version line,
+    ``#steps``, the run of ``#scenario:`` lines, then events, every line with
+    its line end, and a ``#steps`` or event line must render back to itself,
+    so ``Trace.lines`` of the scenario text gives the text back byte for byte.
 
-    Raises ScenarioError on an unreadable or non-UTF-8 file, a missing or
-    mismatched version header, a bad or second ``#steps`` header, a malformed
-    event line, or an event step outside [0, steps), naming ``<path>:<line>``.
+    Anything else raises ScenarioError, with the line at fault where there
+    is one: an unreadable or non-UTF-8 file, a missing, stray or second
+    header, a non-canonical numeral, unsorted or repeated detail keys, or an
+    event step outside [0, steps) or below the one before it.
     """
     text = read_text_file(path)
-    lines = text.splitlines()
+    lines = text.split("\n")
+    if lines.pop():
+        raise ScenarioError("the last line has no line end", len(lines) + 1)
     if not lines or lines[0] != f"#{TRACE_VERSION}":
-        raise ScenarioError(f"{path}: missing or unsupported trace header")
-    scenario_lines: List[str] = []
-    linenos: List[int] = []
+        raise ScenarioError("missing or unsupported trace header", 1)
+    head = lines[1] if len(lines) > 1 else ""
+    count = head[len("#steps "):]
+    steps = int(count) if count.removeprefix("-").isdecimal() else 0
+    if head != f"#steps {steps}":
+        raise ScenarioError(f"malformed or missing #steps header: {head!r}", 2)
+    if steps < 1:
+        raise ScenarioError(f"#steps must be >= 1, got {steps}", 2)
     trace = Trace()
-    steps: Optional[int] = None
-    for lineno, line in enumerate(lines[1:], 2):
-        if line.startswith("#scenario:"):
-            scenario_lines.append(line[len("#scenario:"):] + "\n")
-            linenos.append(lineno)
-        elif line.startswith("#steps "):
-            if steps is not None:
-                raise ScenarioError(f"{path}:{lineno}: second #steps header")
-            try:
-                steps = canonical_int(line[len("#steps "):])
-            except ValueError:
-                raise ScenarioError(f"{path}:{lineno}: malformed header {line!r}") from None
-            if steps < 1:
-                raise ScenarioError(f"{path}:{lineno}: #steps must be >= 1, got {steps}")
-            last = max((e.step for e in trace.events), default=-1)
-            if last >= steps:
-                raise ScenarioError(
-                    f"{path}:{lineno}: #steps {steps} is not above event step {last}")
-        elif not line.startswith("#"):
-            try:
-                step, proc, kind, detail = line.split("\t")
-                at = canonical_int(step)
-                parsed = None if detail == "-" else dict(
-                    chunk.partition("=")[::2] for chunk in detail.split(" "))
-                trace.append(TraceEvent(at, canonical_int(proc), kind, parsed))
-            except ValueError:
-                raise ScenarioError(f"{path}:{lineno}: malformed trace line: {line!r}") from None
-            if at < 0 or steps is not None and at >= steps:
-                raise ScenarioError(f"{path}:{lineno}: event step {at} is outside [0, #steps)")
-    trace.steps = steps if steps is not None else (
-        max((e.step for e in trace.events), default=0) + 1)
-    return text, "".join(scenario_lines), trace, linenos
+    trace.steps = steps
+    scenario_lines: List[str] = []
+    cache: dict = {}
+    for lineno, line in enumerate(lines[2:], 3):
+        payload = line[len("#scenario:"):]  # one line, as Trace.lines splits it
+        if not trace.events and line.startswith("#scenario:") \
+                and (payload + "\n").splitlines() == [payload]:
+            scenario_lines.append(payload + "\n")
+            continue
+        try:
+            step, proc, kind, detail = line.split("\t")
+            event = TraceEvent(int(step), int(proc), kind, None if detail == "-" else dict(
+                chunk.partition("=")[::2] for chunk in detail.split(" ")))
+        except ValueError:
+            event = None
+        if event is None or event.render(cache) != line:
+            raise ScenarioError(f"malformed trace line: {line!r}", lineno)
+        if not 0 <= event.step < steps:
+            raise ScenarioError(f"event step {event.step} is outside [0, #steps)", lineno)
+        if trace.events and event.step < trace.events[-1].step:
+            raise ScenarioError(f"event step {event.step} is below the step before it", lineno)
+        trace.append(event)
+    return text, "".join(scenario_lines), trace, list(range(3, 3 + len(scenario_lines)))

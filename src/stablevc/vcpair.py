@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from operator import le
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .errors import NoPivot
 from .labels import Label, eq_m, incomparable, precedes_lb, preceq_lb
@@ -94,14 +94,6 @@ class VectorClockPair:
                 f"{self.prev_label!r}|{self.mid}|{self.prev_o}⟩")
 
 
-@dataclass(slots=True)
-class Pivot:
-    """A common (label, offset) reference item between two pairs."""
-
-    label: Label
-    vector: List[int]  # the matched item's offset list in the first pair
-
-
 # -- vector clock value and conditions ------------------------------------------
 
 
@@ -150,8 +142,10 @@ def le_lo(a: VectorClockItem, b: VectorClockItem) -> bool:
 # -- pivots and merging --------------------------------------------------------------
 
 
-def exists_overlap(loc: VectorClockPair, arr: VectorClockPair) -> Optional[Pivot]:
-    """The <_{l,o}-maximum common item of the two pairs, if any.
+def exists_overlap(loc: VectorClockPair,
+                   arr: VectorClockPair) -> Optional[Tuple[Label, List[int]]]:
+    """The <_{l,o}-maximum common item of the two pairs, if any, as its
+    (label, offset list).
 
     ``loc``'s current item is the pivot when it matches: together with the
     previous items (no wrap between the pairs), or as ``arr``'s previous
@@ -166,14 +160,14 @@ def exists_overlap(loc: VectorClockPair, arr: VectorClockPair) -> Optional[Pivot
     prev_prev = prev_o == arr.prev_o and eq_m(loc.prev_label, arr.prev_label)
     if (prev_prev and mid == arr.mid and eq_m(loc.curr_label, arr.curr_label)) \
             or (mid == arr.prev_o and eq_m(loc.curr_label, arr.prev_label)):
-        return Pivot(loc.curr_label, mid)
+        return loc.curr_label, mid
     if (prev_o == arr.mid and eq_m(loc.prev_label, arr.curr_label)) or prev_prev:
-        return Pivot(loc.prev_label, prev_o)
+        return loc.prev_label, prev_o
     return None
 
 
 def merge(loc: VectorClockPair, arr: VectorClockPair,
-          pivot: Optional[Pivot] = None) -> VectorClockPair:
+          pivot: Optional[Tuple[Label, List[int]]] = None) -> VectorClockPair:
     """Join two pairs sharing a pivot: keep the greater static part, take
     the per-entry maximum of events counted since the pivot.
 
@@ -184,7 +178,7 @@ def merge(loc: VectorClockPair, arr: VectorClockPair,
         pivot = exists_overlap(loc, arr)
         if pivot is None:
             raise NoPivot("pairs share no common item")
-    pivot_label, pivot_vec = pivot.label, pivot.vector
+    pivot_label, pivot_vec = pivot
 
     if eq_m(arr.curr_label, loc.curr_label):
         if arr.mid == loc.mid:
@@ -268,7 +262,7 @@ def comparable_labels(pairs) -> bool:
     return not any(incomparable(a, b) for a, b in combinations(labels, 2))
 
 
-def legit_pairs(a: VectorClockPair, b: VectorClockPair) -> Optional[Pivot]:
+def legit_pairs(a: VectorClockPair, b: VectorClockPair) -> Optional[Tuple[Label, List[int]]]:
     """The pairs can merge: their labels are comparable and they share an item.
 
     Returns the shared pivot (truthy) so the merge need not search for it
@@ -311,12 +305,11 @@ def happened_before(a: List[int], b: List[int]) -> bool:
 
 
 def causal_precedence(z: VectorClockPair, zp: VectorClockPair,
-                      pivot: Optional[Pivot] = None) -> bool:
+                      pivot: Optional[Tuple[Label, List[int]]] = None) -> bool:
     """True when z's counted events happened before zp's
     (``pivot``: ``exists_overlap`` of the pairs, if the caller has it)."""
     if pivot is None:
         pivot = exists_overlap(z, zp)
         if pivot is None:
             return False
-    return happened_before(_events_since(z, pivot.label, pivot.vector),
-                           _events_since(zp, pivot.label, pivot.vector))
+    return happened_before(_events_since(z, *pivot), _events_since(zp, *pivot))

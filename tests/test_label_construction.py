@@ -303,17 +303,16 @@ def test_successor_memo_is_per_config():
     assert len(outs) == 3
 
 
-def test_successor_memo_hit_is_the_interned_component():
+def test_successor_memo_hit_is_the_memoized_component():
     cfg = LabelConfig(k=8)
     comp = LabelComponent(12, frozenset({2, 3, 4, 5, 13, 14, 20, 30}))
     first = successor_component(comp, cfg)
     assert comp.successor == ((cfg.k, cfg.domain_size), first)
     assert successor_component(comp, cfg) is first
-    # An equal parent without a memo computes it afresh and is handed the
-    # interned component the memo holds.
+    # An equal parent without a memo computes an equal component afresh.
     twin = LabelComponent(comp.sting, comp.antistings)
     assert twin.successor is None
-    assert successor_component(twin, cfg) is first
+    assert successor_component(twin, cfg) == first
 
 
 # -- the epoch chain stays ordered -------------------------------------------------

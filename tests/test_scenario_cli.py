@@ -2,9 +2,11 @@
 
 import dataclasses
 import os
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+import stablevc.cli
 from stablevc.cli import EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR, EXIT_OK, execute_scenario, main
 from stablevc.errors import PreconditionViolated, ScenarioError
 from stablevc.labels import Label
@@ -123,9 +125,17 @@ class TestParsing:
             parse_scenario(FAULTY.replace("restart = 2@150", "restart = 2@150, 2@300"))
 
     def test_rate_override_processor_spelled_twice(self):
-        # Both keys name processor 2; the later value used to win silently.
-        with pytest.raises(ScenarioError, match="processor 2 named twice"):
+        # Both keys named processor 2, and the later value used to win
+        # silently; a processor has one spelling now, the canonical one.
+        with pytest.raises(ScenarioError, match="increment_rate.02: not a canonical integer"):
             parse_scenario(GOOD + "increment_rate.2 = 0.9\nincrement_rate.02 = 0.1\n")
+        with pytest.raises(ScenarioError, match="'increment_rate.2' given twice"):
+            parse_scenario(GOOD + "increment_rate.2 = 0.9\nincrement_rate.2 = 0.1\n")
+
+    def test_transient_scope_needs_a_seed(self):
+        # A scope without a seed was accepted, and to_text dropped it.
+        with pytest.raises(ScenarioError, match="transient_scope needs a transient_seed"):
+            parse_scenario(FAULTY.replace("transient_seed = 5\n", ""))
 
     def test_converged_is_opt_in(self):
         assert "converged" not in parse_scenario(GOOD).checks
@@ -233,17 +243,24 @@ class TestCli:
         main(["run", path, "--out", str(tmp_path)])
         assert main(["replay", str(tmp_path / "case.trace")]) == EXIT_OK
 
-    def test_replay_detects_tampering(self, tmp_path):
+    def test_replay_detects_tampering(self, tmp_path, capsys):
         path = self._write(tmp_path, GOOD)
         main(["run", path, "--out", str(tmp_path)])
         trace_path = tmp_path / "case.trace"
         lines = trace_path.read_text().splitlines()
-        for idx in range(len(lines) - 1, -1, -1):
-            if not lines[idx].startswith("#"):
-                lines[idx] = lines[idx].replace("\t", "\t", 1) + " tampered"
-                break
+        step, proc, kind, _detail = lines[-1].split("\t")
+        # A well-formed line the run did not write diverges ...
+        lines[-1] = f"{step}\t{proc}\t{kind}\ttampered=t"
         trace_path.write_text("\n".join(lines) + "\n")
         assert main(["replay", str(trace_path)]) == EXIT_CHECK_FAILED
+        # ... and one the simulator never writes (a detail chunk without
+        # "="), which replay used to report as diverging, is malformed.
+        lines[-1] += " tampered"
+        trace_path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["replay", str(trace_path)]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == \
+            f"{trace_path}:{len(lines)}: error: malformed trace line: {lines[-1]!r}\n"
 
     def test_replay_version_mismatch_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.trace"
@@ -271,21 +288,45 @@ class TestCli:
         ("#steps 10\n3\t1\tsend\t-\n50\t1\trestart_local\t-\n",
          "4: error: event step 50 is outside [0, #steps)"),
         ("#steps 10\n10\t1\tsend\t-\n", "3: error: event step 10 is outside [0, #steps)"),
-        ("-1\t1\tsend\t-\n", "2: error: event step -1 is outside [0, #steps)"),
+        ("#steps 10\n5\t1\tsend\t-\n3\t1\tsend\t-\n",
+         "4: error: event step 3 is below the step before it"),
+        ("-1\t1\tsend\t-\n", "2: error: malformed or missing #steps header: '-1\\t1\\tsend\\t-'"),
         ("3\t1\tsend\t-\n50\t1\tsend\t-\n#steps 10\n",
-         "4: error: #steps 10 is not above event step 50"),
+         "2: error: malformed or missing #steps header: '3\\t1\\tsend\\t-'"),
         # Non-canonical numerals and a second header, once read through int()
-        # or skipped as a comment.
-        ("#steps 10\n0\t1\tsend\t-\n#steps 5\n", "4: error: second #steps header"),
-        ("#steps 10\n#steps 10\n", "3: error: second #steps header"),
-        ("#steps 1_0\n", "2: error: malformed header '#steps 1_0'"),
-        ("#steps +10\n", "2: error: malformed header '#steps +10'"),
-        ("#steps 010\n", "2: error: malformed header '#steps 010'"),
-        ("#steps  10\n", "2: error: malformed header '#steps  10'"),
+        # or skipped as a comment; a header is now a line out of the layout.
+        ("#steps 10\n0\t1\tsend\t-\n#steps 5\n", "4: error: malformed trace line: '#steps 5'"),
+        ("#steps 10\n#steps 10\n", "3: error: malformed trace line: '#steps 10'"),
+        ("#steps 1_0\n", "2: error: malformed or missing #steps header: '#steps 1_0'"),
+        ("#steps +10\n", "2: error: malformed or missing #steps header: '#steps +10'"),
+        ("#steps 010\n", "2: error: malformed or missing #steps header: '#steps 010'"),
+        ("#steps  10\n", "2: error: malformed or missing #steps header: '#steps  10'"),
         ("#steps 10\n+3\t1\tsend\t-\n", "3: error: malformed trace line: '+3\\t1\\tsend\\t-'"),
         ("#steps 10\n3\t 1\tsend\t-\n", "3: error: malformed trace line: '3\\t 1\\tsend\\t-'"),
         ("#steps 10\n3\t01\tsend\t-\n", "3: error: malformed trace line: '3\\t01\\tsend\\t-'"),
-        ("0_3\t1\tsend\t-\n", "2: error: malformed trace line: '0_3\\t1\\tsend\\t-'"),
+        ("0_3\t1\tsend\t-\n",
+         "2: error: malformed or missing #steps header: '0_3\\t1\\tsend\\t-'"),
+        # Lines out of the layout Trace.lines writes: stats read each of these
+        # with exit 0, and replay reported them as diverging.
+        ("#steps 10\n#note\n0\t1\tsend\t-\n", "3: error: malformed trace line: '#note'"),
+        ("#steps 10\n0\t1\tsend\t-\n#note\n", "4: error: malformed trace line: '#note'"),
+        ("0\t1\tsend\t-\n",
+         "2: error: malformed or missing #steps header: '0\\t1\\tsend\\t-'"),
+        ("0\t1\tsend\t-\n#steps 10\n",
+         "2: error: malformed or missing #steps header: '0\\t1\\tsend\\t-'"),
+        ("#steps 10\n0\t1\tsend\t-\n#scenario:n = 3\n",
+         "4: error: malformed trace line: '#scenario:n = 3'"),
+        # Detail keys out of order, repeated, or without "=".
+        ("#steps 10\n0\t1\tsend\tto=2 first=t\n",
+         "3: error: malformed trace line: '0\\t1\\tsend\\tto=2 first=t'"),
+        ("#steps 10\n0\t1\tsend\tto=2 to=2\n",
+         "3: error: malformed trace line: '0\\t1\\tsend\\tto=2 to=2'"),
+        ("#steps 10\n0\t1\tsend\tfirst\n",
+         "3: error: malformed trace line: '0\\t1\\tsend\\tfirst'"),
+        # Line ends the writer never writes.
+        ("#steps 10\n0\t1\tsend\t-", "3: error: the last line has no line end"),
+        ("#steps 10\n0\t1\tsend\t-\r\n",
+         "3: error: malformed trace line: '0\\t1\\tsend\\t-\\r'"),
     ])
     def test_bad_steps_exit_two_naming_the_line(self, tmp_path, capsys, body, message):
         bad = tmp_path / "bad.trace"
@@ -310,6 +351,20 @@ class TestCli:
          "16: error: reorder: not a canonical integer: '6_0'"),
         ("increment_rate = 0.1", "increment_rate = x",
          "8: error: increment_rate: could not convert string to float: 'x'"),
+        # Rates and the <p> of increment_rate.<p>, once read through float()
+        # and int().
+        ("increment_rate = 0.1", "increment_rate = 0_0.5",
+         "8: error: increment_rate: not a canonical float: '0_0.5'"),
+        ("increment_rate = 0.1", "increment_rate = 1e-1",
+         "8: error: increment_rate: not a canonical float: '1e-1'"),
+        ("increment_rate = 0.1", "increment_rate = 1",
+         "8: error: increment_rate: not a canonical float: '1'"),
+        ("increment_rate = 0.1", "increment_rate = 0.1\nincrement_rate.+2 = 0.5",
+         "9: error: increment_rate.+2: not a canonical integer: '+2'"),
+        ("increment_rate = 0.1", "increment_rate = 0.1\nincrement_rate.02 = 0.5",
+         "9: error: increment_rate.02: not a canonical integer: '02'"),
+        ("increment_rate = 0.1", "increment_rate = 0.1\nincrement_rate.2 = .5",
+         "9: error: increment_rate.2: not a canonical float: '.5'"),
     ])
     def test_run_rejects_non_canonical_numerals(self, tmp_path, capsys, old, new, message):
         assert old in FAULTY
@@ -317,6 +372,22 @@ class TestCli:
         capsys.readouterr()
         assert main(["run", path, "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
         assert capsys.readouterr() == ("", f"{path}:{message}\n")
+        assert not (tmp_path / "case.trace").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--steps", "1_00"), ("--seed", "+3"),
+                                             ("--steps", "0100"), ("--seed", " 3"),
+                                             ("--jobs", "+2")])
+    def test_run_rejects_non_canonical_flags(self, tmp_path, capsys, flag, value):
+        # Each flag was read through int(): 100 steps with seed 3, exit 0.
+        path = self._write(tmp_path, GOOD)
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exited:
+            main(["run", path, "--out", str(tmp_path), flag, value])
+        assert exited.value.code == EXIT_CONFIG_ERROR
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: stablevc run ")
+        assert err.splitlines()[-1] == \
+            f"stablevc run: error: argument {flag}: invalid canonical_int value: {value!r}"
         assert not (tmp_path / "case.trace").exists()
 
     def test_replay_rejects_a_non_canonical_scenario_numeral(self, tmp_path, capsys):
@@ -347,15 +418,17 @@ class TestCli:
         idx = next(i for i in range(40, len(lines)) if "\tsend\t" in lines[i])
         lines[idx] = lines[idx].replace("\tsend\t", "\tsent\t")
         edited.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(["replay", str(edited)]) == EXIT_CHECK_FAILED
+        err = capsys.readouterr().err
+        assert err.startswith(f"{edited}:{idx + 1}: replay diverges: trace ")
+        assert len(err.splitlines()) == 1
+        # A copy with CRLF line ends, which diverged at line 1, is no trace.
         crlf = tmp_path / "crlf.trace"
         crlf.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
-        for trace_path, lineno in ((edited, idx + 1), (crlf, 1)):
-            capsys.readouterr()
-            assert main(["replay", str(trace_path)]) == EXIT_CHECK_FAILED
-            err = capsys.readouterr().err
-            assert err.startswith(f"{trace_path}:{lineno}: replay diverges: trace ")
-            assert len(err.splitlines()) == 1
-        assert "'#stablevc-trace v1\\r\\n'" in err
+        assert main(["replay", str(crlf)]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == \
+            f"{crlf}:1: error: missing or unsupported trace header\n"
 
     def test_replay_names_the_trace_line_of_a_scenario_error(self, tmp_path, capsys):
         # The embedded scenario starts on the trace's third line; an error
@@ -499,6 +572,21 @@ class TestCli:
         assert (tmp_path / "case0.trace").exists()
         assert (tmp_path / "case1.trace").exists()
 
+    def test_jobs_start_no_more_workers_than_files(self, tmp_path, monkeypatch):
+        # Under fork the pool starts all its workers at once, so --jobs 64
+        # with two files started 64 processes.
+        sizes = []
+
+        class Pool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(stablevc.cli, "ProcessPoolExecutor", Pool)
+        paths = [self._write(tmp_path, GOOD, f"case{i}.scenario") for i in range(2)]
+        assert main(["run", *paths, "--out", str(tmp_path), "--jobs", "64"]) == EXIT_OK
+        assert sizes == [2]
+
 
 class TestConvergedCheck:
     def test_clean_run_converges(self, tmp_path):
@@ -513,7 +601,7 @@ class TestConvergedCheck:
         scenario = load_scenario(os.path.join(TestBundledScenarios.BUNDLE, "regress",
                                               "c4_32004.scenario"))
         assert "converged" in scenario.checks
-        checks = parse_checks("all,converged", "--checks", transient=True)
+        checks = parse_checks("all,converged", transient=True)
         assert checks == ("segments", "global_inv", "converged")
         scenario = dataclasses.replace(scenario, checks=checks)
         _world, trace, _summary, failures = execute_scenario(scenario)

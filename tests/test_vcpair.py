@@ -11,7 +11,6 @@ from stablevc.labeling import SystemConfig
 from stablevc.labels import Label, LabelComponent, eq_m, precedes_lb
 from stablevc.simnet import _random_pair
 from stablevc.vcpair import (
-    Pivot,
     VectorClockItem,
     VectorClockPair,
     _events_since,
@@ -39,7 +38,7 @@ def new_events(pair, pivot):
     plain vector clock value when the pivot matches ``curr``, plus the
     previous era's events when it matches ``prev`` (entries may exceed
     MAXINT)."""
-    return _events_since(pair, pivot.label, pivot.vector)
+    return _events_since(pair, *pivot)
 
 
 def lab(creator, sting, anti=(1, 2)):
@@ -144,22 +143,22 @@ class TestExistsOverlap:
     def test_identical_pairs_both_match(self):
         z = pair(L1, [3, 1], [0, 0])
         piv = exists_overlap(z, z.copy())
-        assert piv is not None and piv.vector is z.mid and piv.label is z.curr_label
+        assert piv is not None and piv[0] is z.curr_label and piv[1] is z.mid
 
     def test_concurrent_wrap_prev_prev(self):
         base_prev_o = [0, 0]
         za = VectorClockPair(L2, [5, 2], [5, 2], L1, list(base_prev_o), MAXINT)
         zb = VectorClockPair(L2, [4, 3], [4, 3], L1, list(base_prev_o), MAXINT)
         piv = exists_overlap(za, zb)
-        assert piv is not None and piv.vector is za.prev_o and piv.label is za.prev_label
+        assert piv is not None and piv[0] is za.prev_label and piv[1] is za.prev_o
 
     def test_one_side_wrapped(self):
         loc = pair(L1, [5, 2], [0, 0])                      # not wrapped
         arr = VectorClockPair(L2, [5, 2], [5, 2], L1, [0, 0], MAXINT)  # wrapped
         piv = exists_overlap(loc, arr)
-        assert piv is not None and piv.vector is loc.mid and piv.label is loc.curr_label
+        assert piv is not None and piv[0] is loc.curr_label and piv[1] is loc.mid
         piv2 = exists_overlap(arr, loc)
-        assert piv2 is not None and piv2.vector is arr.prev_o and piv2.label is arr.prev_label
+        assert piv2 is not None and piv2[0] is arr.prev_label and piv2[1] is arr.prev_o
 
     def test_no_overlap(self):
         assert exists_overlap(pair(L1, [0, 0], [0, 0]),
@@ -200,7 +199,7 @@ class TestNewEvents:
     def test_no_pivot_match_raises(self):
         z = pair(L1, [1, 1], [0, 0])
         with pytest.raises(NoPivot):
-            new_events(z, Pivot(L2, [3, 3]))
+            new_events(z, (L2, [3, 3]))
 
 
 class TestMerge:
@@ -448,13 +447,13 @@ def ref_exists_overlap(loc, arr):
     curr_curr = eq_m(loc.curr_label, arr.curr_label) and loc.mid == arr.mid
     prev_prev = eq_m(loc.prev_label, arr.prev_label) and loc.prev_o == arr.prev_o
     if curr_curr and prev_prev:
-        return Pivot(loc.curr_label, list(loc.mid))
+        return loc.curr_label, list(loc.mid)
     if eq_m(loc.curr_label, arr.prev_label) and loc.mid == arr.prev_o:
-        return Pivot(loc.curr_label, list(loc.mid))
+        return loc.curr_label, list(loc.mid)
     if eq_m(loc.prev_label, arr.curr_label) and loc.prev_o == arr.mid:
-        return Pivot(loc.prev_label, list(loc.prev_o))
+        return loc.prev_label, list(loc.prev_o)
     if prev_prev:
-        return Pivot(loc.prev_label, list(loc.prev_o))
+        return loc.prev_label, list(loc.prev_o)
     return None
 
 
@@ -471,12 +470,12 @@ def ref_events_since(pair, pivot_label, pivot_vec):
 
 
 def ref_new_events(pair, pivot):
-    return ref_events_since(pair, pivot.label, pivot.vector)
+    return ref_events_since(pair, *pivot)
 
 
 def ref_merge(loc, arr, pivot=None):
     if pivot is not None:
-        pivot_label, pivot_vec = pivot.label, pivot.vector
+        pivot_label, pivot_vec = pivot
     elif eq_m(loc.curr_label, arr.curr_label) and loc.mid == arr.mid:
         pivot_label, pivot_vec = loc.curr_label, loc.mid
     elif eq_m(loc.curr_label, arr.prev_label) and loc.mid == arr.prev_o:
@@ -514,10 +513,10 @@ def ref_event_count_query(zx, zy, proc):
     if equal_static(zx, zy):
         return (vc(zy)[i] - vc(zx)[i]) % zx.maxint
     if eq_lo(zx.curr, zy.prev):
-        pivot = Pivot(zy.prev.label, list(zy.prev.o))
+        pivot = (zy.prev.label, list(zy.prev.o))
         return ref_new_events(zy, pivot)[i] - vc(zx)[i]
     if eq_lo(zx.prev, zy.prev):
-        pivot = Pivot(zy.prev.label, list(zy.prev.o))
+        pivot = (zy.prev.label, list(zy.prev.o))
         return ref_new_events(zy, pivot)[i] - ref_new_events(zx, pivot)[i]
     return None
 
@@ -587,7 +586,7 @@ def _fields(pair):
 def _same_pivot(got, want):
     if want is None:
         return got is None
-    return got is not None and got.label is want.label and got.vector == want.vector
+    return got is not None and got[0] is want[0] and got[1] == want[1]
 
 
 @settings(max_examples=400, deadline=None)
@@ -598,7 +597,7 @@ def test_queries_match_their_earlier_versions(pairs):
     piv = exists_overlap(a, b)
     assert _same_pivot(piv, ref_exists_overlap(a, b))
     if piv is not None:
-        assert piv.vector is a.mid or piv.vector is a.prev_o  # a's own list
+        assert piv[1] is a.mid or piv[1] is a.prev_o  # a's own list
     assert causal_precedence(a, b) == ref_causal_precedence(a, b)
     for proc in (1, 2, 3):
         assert event_count_query(a, b, proc) == ref_event_count_query(a, b, proc)
