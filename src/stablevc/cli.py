@@ -25,9 +25,8 @@ from .oracle import (
     global_invariants,
     stats,
 )
-from .scenario import Scenario, canonical_int, load_scenario, parse_checks, parse_scenario
+from .scenario import Scenario, canonical_int, load_scenario, load_trace, parse_checks
 from .simnet import run as sim_run
-from .trace import read_trace_file
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -141,29 +140,29 @@ def cmd_run(paths: List[str], seed: Optional[int], steps: Optional[int],
 
 def cmd_replay(trace_path: str) -> int:
     try:
-        text, scenario_text, _recorded, linenos = read_trace_file(trace_path)
-        if not scenario_text:
+        recorded, scenario = load_trace(trace_path)
+        if scenario is None:
             raise ScenarioError("no embedded scenario header")
-        scenario = parse_scenario(scenario_text, linenos)
         trace = sim_run(scenario.build_world(), scenario.build_scheduler(), scenario.steps,
                         fault_plan=scenario.faults)
     except StableVCError as exc:
         print(_error_line(trace_path, exc), file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    replayed = trace.lines(scenario.to_text())
+    # The recorded trace's lines are the file's: its reader accepts no other.
+    text = scenario.to_text()
     for lineno, (old, new) in enumerate(
-            zip_longest(text.splitlines(keepends=True), replayed, fillvalue=""), 1):
+            zip_longest(recorded.lines(text), trace.lines(text), fillvalue=""), 1):
         if old != new:
             print(f"{trace_path}:{lineno}: replay diverges: trace {old!r}, replay {new!r}",
                   file=sys.stderr)
             return EXIT_CHECK_FAILED
-    print(f"replay: byte-identical ({len(text.encode('utf-8'))} bytes)")
+    print(f"replay: byte-identical ({os.path.getsize(trace_path)} bytes)")
     return EXIT_OK
 
 
 def cmd_stats(trace_path: str) -> int:
     try:
-        trace = read_trace_file(trace_path)[2]
+        trace = load_trace(trace_path)[0]
     except ScenarioError as exc:
         print(_error_line(trace_path, exc), file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -97,7 +97,7 @@ class LabelingState:
     """
 
     __slots__ = ("self_id", "cfg", "label_cfg", "capacity", "max", "stored",
-                 "ready", "_dirty", "created_log", "stamp")
+                 "ready", "dirty", "created_log", "stamp")
 
     def __init__(self, self_id: int, cfg: SystemConfig):
         self.self_id = self_id
@@ -107,7 +107,7 @@ class LabelingState:
         self.max: List[Optional[Label]] = [None] * (cfg.n + 1)  # 1-indexed
         self.stored: List[List[Label]] = [[] for _ in range(cfg.n + 1)]
         self.ready = False  # set by the first bookkeeping pass
-        self._dirty = True
+        self.dirty = True  # cleared, and ready set, only by a bookkeeping pass
         self.created_log: List[Label] = []
         self.stamp = next(_stamps)
 
@@ -135,11 +135,6 @@ class LabelingState:
             return True
         entry = self.stored_copy(label)
         return entry is not None and entry.cl is not None
-
-    @property
-    def dirty(self) -> bool:
-        """True while a change awaits its bookkeeping pass."""
-        return self._dirty
 
     def get_label(self) -> Label:
         if not self.ready:
@@ -175,7 +170,7 @@ class LabelingState:
                     and entry.creator == creator:
                 if entry.cl is None and label.cl is not None:
                     entry = entry.with_cancel(label.cl)
-                    self._dirty = True
+                    self.dirty = True
                 if idx == 1:
                     queue[1] = queue[0]
                 elif idx:
@@ -187,7 +182,7 @@ class LabelingState:
         queue.insert(0, label)
         if len(queue) > self.capacity:
             queue.pop()
-        self._dirty = True
+        self.dirty = True
         return label
 
     def _cancel_stored(self, label: Label, evidence) -> None:
@@ -199,14 +194,14 @@ class LabelingState:
                     queue[idx] = entry.with_cancel(evidence)
                     if self.max[self.self_id] is not None and eq_m(entry, self.max[self.self_id]):
                         self.max[self.self_id] = queue[idx]
-                    self._dirty = True
+                    self.dirty = True
                 return
 
     # -- the seven-function interface ------------------------------------------
 
     def label_bookkeeping(self) -> None:
         """Invariant check and repair; creates a fresh maximal label if needed."""
-        if not self._dirty and self.ready:
+        if not self.dirty:
             return
         self._wipe_if_stale()
         # Fold the heard-labels vector into storage so max[self] is always stored.
@@ -217,7 +212,7 @@ class LabelingState:
         self._cross_cancel()
         self._select_max()
         self.ready = True
-        self._dirty = False
+        self.dirty = False
         self.stamp = next(_stamps)
 
     def label_bookkeeping_msg(self, msg: ServerMessage, sender: int,
@@ -241,7 +236,7 @@ class LabelingState:
         sender_max = msg.sender_max
         unmoved = None
         if len(extra_labels) == 2 and extra_labels[0] is sender_max \
-                and not self._dirty and self.ready:
+                and not self.dirty:
             second = extra_labels[1]
             creator = sender_max.creator
             try:
@@ -268,7 +263,7 @@ class LabelingState:
             mine = self.max[self.self_id]
             if mine is not None and eq_m(echo, mine):
                 self._cancel_stored(mine, echo.cl)
-        if self._dirty or not self.ready:
+        if self.dirty:
             self.label_bookkeeping()
 
     def legit_msg(self, msg: ServerMessage, label: Label) -> bool:
@@ -330,7 +325,7 @@ class LabelingState:
                         canceled[idx] = b.with_cancel(a.ml)
             for idx, replacement in canceled.items():
                 queue[idx] = replacement
-                self._dirty = True
+                self.dirty = True
 
     def _greatest_legitimate(self) -> Optional[Label]:
         """The greatest stored legitimate label, or None: a scan in creator
@@ -378,7 +373,7 @@ class LabelingState:
                           successor_component(curr_label.ml, self.label_cfg))
             self.created_log.append(fresh)
             self._enqueue(fresh)
-            self._dirty = True
+            self.dirty = True
         self.label_bookkeeping()
 
     # -- introspection -----------------------------------------------------------

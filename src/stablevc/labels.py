@@ -122,17 +122,16 @@ class Label:
     recorded by the label storage, which swaps in a canceled copy.
     """
 
-    __slots__ = ("creator", "ml", "cl", "_hash")
+    __slots__ = ("creator", "ml", "cl")
 
     def __init__(self, creator: int, ml: LabelComponent, cl: Optional[LabelComponent] = None):
         self.creator = creator
         self.ml = ml
         self.cl = cl
-        self._hash = hash((creator, ml.sting))
 
     def __hash__(self) -> int:
         # Hash/equality follow =_m (creator + ml); cl is evidence only.
-        return self._hash
+        return hash((self.creator, self.ml.sting))
 
     def __eq__(self, other: object) -> bool:
         if self is other:

@@ -56,10 +56,9 @@ class ShadowTracker:
     shadow under its snapshot, and a merged receive looks up the arriving
     snapshot, which the receiver keeps as ``pairs[sender]``.  A snapshot no
     send stored (an injected message, or a broadcast begun before the
-    tracker attached) has no baseline to join.  Only a snapshot some
-    channel or pending broadcast still holds can arrive again, so the
-    store keeps just those: whenever it has doubled since it was last
-    swept, a first send rebuilds it from the world.  A ``restart_local``
+    tracker attached) has no baseline to join.  A broadcast of an
+    unchanged snapshot reuses its key, so ``sent`` never holds more
+    entries than the change-logs beside it.  A ``restart_local``
     changes no shadow: the baseline never forgets, the local pair does,
     and the auditors exclude counting across a restart.
     """
@@ -80,10 +79,6 @@ class ShadowTracker:
         # id(snapshot) -> (snapshot, shadow at its broadcast's begin); the
         # snapshot is kept alive, so no other object can take its id.
         self.sent: Dict[int, Tuple[VectorClockPair, List[int]]] = {}
-        # Snapshots the world can hold at once: one per channel slot and
-        # pending broadcast; sweeping no sooner keeps its cost per send O(1).
-        self._held_max = config.m + n
-        self._sweep_at = 2 * self._held_max
 
     # -- observer interface ----------------------------------------------------
 
@@ -102,14 +97,7 @@ class ShadowTracker:
                 self.increment_steps[proc].append(event.step)
             elif kind == "send":
                 if event.detail["first"]:
-                    snapshot, shadow = event.detail["pair"], self.shadow[proc]
-                    pairs, shadows = self.snap_pairs[proc], self.snap_shadows[proc]
-                    if pairs and pairs[-1] is snapshot and shadows[-1] == shadow:
-                        kept = shadows[-1]  # stored lists never change
-                    else:
-                        kept = list(shadow)
-                    if len(self.sent) >= self._sweep_at:
-                        self._sweep(world)
+                    snapshot, kept = event.detail["pair"], list(self.shadow[proc])
                     self.sent[id(snapshot)] = (snapshot, kept)
             elif kind == "receive" and event.detail["merged"]:
                 state = world.procs[proc]
@@ -129,19 +117,6 @@ class ShadowTracker:
             self._record(last.step + 1, last.proc, world.procs[last.proc], kept)
 
     # -- internals ----------------------------------------------------------------
-
-    def _sweep(self, world: World) -> None:
-        """Drop the stored snapshots no channel or pending broadcast holds
-        (a crashed processor's included: it resumes its broadcast)."""
-        held = [entry.message.client.arriving
-                for channel in world.channels.values() for entry in channel.queue]
-        for proc in self.config.proc_ids:
-            pending = world.procs[proc].pending_broadcast
-            if pending is not None:
-                held.append(pending.snapshot)
-        sent = self.sent
-        self.sent = {id(pair): sent[id(pair)] for pair in held if id(pair) in sent}
-        self._sweep_at = 2 * max(len(self.sent), self._held_max)
 
     def _record(self, step: int, proc: int, state: ProcessorState,
                 shadow: Optional[List[int]] = None) -> None:

@@ -196,7 +196,7 @@ class ProcessorState:
             notes = StepNotes()
             self.increment(notes)
         labeling = self.labeling
-        if labeling._dirty or not labeling.ready:
+        if labeling.dirty:
             labeling.label_bookkeeping()
         if labeling.created_log:
             notes = notes or StepNotes()

@@ -8,12 +8,13 @@ the full key reference.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import Dict, List, Optional, Tuple
 
 from .errors import PreconditionViolated, ScenarioError
 from .labeling import SystemConfig
 from .simnet import FaultPlan, RandomScheduler, RoundRobinScheduler, Scheduler, World
-from .trace import read_text_file
+from .trace import Trace, read_text_file, read_trace_file
 
 DEFAULT_CHECKS = ("req1", "causal", "segments", "global_inv", "local_inv")
 # Checks that compare against the fault-free shadow baseline, which a run
@@ -150,16 +151,13 @@ def canonical_float(text: str) -> float:
     return value
 
 
-def parse_scenario(text: str, linenos: Optional[List[int]] = None) -> Scenario:
-    """The scenario a file's text describes.  ``linenos``, when given,
-    number ``text``'s lines in errors: the lines of the file that embeds
-    the scenario."""
+def parse_scenario(text: str) -> Scenario:
+    """The scenario a file's text describes."""
     plain: Dict[str, str] = {}
     faults: Dict[str, str] = {}
     where: Dict[str, int] = {}  # key -> its line (no key is in both sections)
     section, known = plain, PLAIN_KEYS
-    lines = text.splitlines()
-    for lineno, raw in zip(linenos or range(1, len(lines) + 1), lines):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -238,6 +236,24 @@ def parse_checks(raw: str, transient: bool = False) -> Tuple[str, ...]:
 
 def load_scenario(path: str) -> Scenario:
     return parse_scenario(read_text_file(path))
+
+
+def load_trace(path: str) -> Tuple[Trace, Optional[Scenario]]:
+    """A trace file's events and embedded scenario (None if it has none),
+    whose ``#scenario:`` lines must be those ``Scenario.to_text`` writes."""
+    trace, text = read_trace_file(path)
+    if not text:
+        return trace, None
+    try:
+        scenario = parse_scenario(text)
+    except ScenarioError as exc:  # the scenario's line 1 is the file's line 3
+        raise ScenarioError(str(exc), None if exc.line is None else exc.line + 2) from None
+    written = scenario.to_text().splitlines()
+    for lineno, (line, want) in enumerate(zip_longest(text.splitlines(), written), 3):
+        if line != want:  # a line past either end is None
+            raise ScenarioError(f"embedded scenario not as Scenario.to_text writes it: "
+                                f"trace {line!r}, to_text {want!r}", lineno)
+    return trace, scenario
 
 
 def _parse_proc_steps(value: str) -> Dict[int, int]:

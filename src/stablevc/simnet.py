@@ -449,7 +449,7 @@ def _corrupt_processor(state: ProcessorState, rng: random.Random) -> None:
             lab.stored[slot].insert(0, label)
         lab.max[j] = _random_label(config, rng) if rng.random() < 0.8 else None
     lab.ready = False
-    lab._dirty = True
+    lab.dirty = True
     lab.created_log = []
     for j in config.proc_ids:
         state.pairs[j] = _random_pair(config, rng)

@@ -148,13 +148,13 @@ def read_text_file(path: str) -> str:
         raise ScenarioError(f"cannot read: {reason}") from exc
 
 
-def read_trace_file(path: str) -> Tuple[str, str, Trace, List[int]]:
-    """Read a trace file in the layout ``Trace.lines`` writes: (its exact
-    text, the embedded scenario text, its events as a "full" Trace, the line
-    number of each ``#scenario:`` line).  That layout is the version line,
-    ``#steps``, the run of ``#scenario:`` lines, then events, every line with
-    its line end, and a ``#steps`` or event line must render back to itself,
-    so ``Trace.lines`` of the scenario text gives the text back byte for byte.
+def read_trace_file(path: str) -> Tuple[Trace, str]:
+    """Read a trace file in the layout ``Trace.lines`` writes: (its events
+    as a "full" Trace, the embedded scenario text, whose lines are the file's
+    from line 3 on).  That layout is the version line, ``#steps``, the run
+    of ``#scenario:`` lines, then events, every line with its line end, and
+    a ``#steps`` or event line must render back to itself, so
+    ``Trace.lines`` of the scenario text gives the file back byte for byte.
 
     Anything else raises ScenarioError, with the line at fault where there
     is one: an unreadable or non-UTF-8 file, a missing, stray or second
@@ -197,4 +197,4 @@ def read_trace_file(path: str) -> Tuple[str, str, Trace, List[int]]:
         if trace.events and event.step < trace.events[-1].step:
             raise ScenarioError(f"event step {event.step} is below the step before it", lineno)
         trace.append(event)
-    return text, "".join(scenario_lines), trace, list(range(3, 3 + len(scenario_lines)))
+    return trace, "".join(scenario_lines)

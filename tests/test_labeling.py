@@ -89,7 +89,7 @@ class TestBookkeeping:
         state.label_bookkeeping()
         stray = Label(2, comp(5, set(range(20, 20 + CFG.label_config.k))))
         state.stored[3].append(stray)  # filed under the wrong creator
-        state._dirty = True
+        state.dirty = True
         state.label_bookkeeping()
         assert not state.is_stored(stray)
         assert state.is_stored(state.get_label())
@@ -99,7 +99,7 @@ class TestBookkeeping:
         state.label_bookkeeping()
         lab = Label(2, comp(5, set(range(20, 20 + CFG.label_config.k))))
         state.stored[2] = [lab, Label(2, lab.ml)]
-        state._dirty = True
+        state.dirty = True
         state.label_bookkeeping()
         assert len(state.stored[2]) == 0 or len(state.stored[2]) == 1
 

@@ -190,38 +190,23 @@ class _PendingAtCrash:
 
 
 class TestSentSweep:
-    """``ShadowTracker.sent`` keeps only snapshots a channel or a pending
-    broadcast still holds, and every verdict is the one a tracker that
-    keeps every snapshot gives."""
+    """``ShadowTracker.sent`` keeps every broadcast snapshot, and a broadcast
+    of an unchanged snapshot reuses its key, so the store holds no more
+    entries than the change-logs beside it."""
 
     @pytest.mark.parametrize("plan, steps", [
         (FaultPlan(), 3000),
         (DUPLICATES, 2000),
         (CRASH_RESTART, 4000),
     ])
-    def test_same_verdicts_as_keeping_every_snapshot(self, plan, steps, monkeypatch):
-        def verdicts():
-            trace, tracker, check = _found_shadow_run(plan, steps)
-            restarts = {}
-            for event in trace.by_kind("restart_local"):
-                restarts.setdefault(event.proc, []).append(event.step)
-            segments = find_legal_segments(trace)
-            revive_steps = sorted(e.step for e in trace.by_kind("revive"))
-            return len(tracker.sent), (
-                [e.render() for e in trace.events], check.checked, tracker.merge_violations,
-                check_requirement1(tracker, trace.steps, restarts),
-                check_causal(tracker, segments, revive_steps, seed=1))
-
-        swept, ours = verdicts()
-        monkeypatch.setattr(ShadowTracker, "_sweep", lambda self, world: None)
-        kept, everything = verdicts()
-        assert ours == everything
-        assert swept < 2 * (CFG_C2.m + CFG_C2.n) < kept
+    def test_same_verdicts_as_keeping_every_snapshot(self, plan, steps):
+        _trace, tracker, _check = _found_shadow_run(plan, steps)
+        assert 0 < len(tracker.sent) <= sum(map(len, tracker.snap_pairs))
 
     def test_crashed_processor_keeps_its_pending_snapshot(self):
         # Processor 2 crashes mid-broadcast at step 284 and sends the rest of
-        # it after its restart at 684; its peers' 141 first sends sweep the
-        # store in between.  No era ends (MAXINT 256), so a peer merges it.
+        # it after its restart at 684; its peers make 141 first sends in
+        # between.  No era ends (MAXINT 256), so a peer merges it.
         config = SystemConfig(n=3, c=2, maxint=256)
         plan = FaultPlan(crash_at={2: 284}, restart_at={2: 684})
         world = World.clean_start(config)

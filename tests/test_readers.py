@@ -1,9 +1,10 @@
 """The trace and scenario readers accept exactly what the writers write.
 
-Every text ``read_trace_file`` accepts renders back to itself byte for byte
-through ``Trace.lines``; every other text makes ``stats`` and ``replay`` exit
-2 with one line naming the file.  A scenario's text reads back to the same
-scenario, and a numeral its writer would not write names its line.
+Every text ``load_trace`` accepts renders back to itself byte for byte
+through ``Trace.lines`` of its scenario's ``to_text``; every other text
+makes ``stats`` and ``replay`` exit 2 with one line naming the file.  A
+scenario's text reads back to the same scenario, and a numeral its writer
+would not write names its line.
 """
 
 import contextlib
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from stablevc.cli import EXIT_CONFIG_ERROR, main
 from stablevc.errors import ScenarioError
 from stablevc.scenario import (
-    DEFAULT_CHECKS, OPT_IN_CHECKS, SHADOW_CHECKS, Scenario, parse_scenario)
+    DEFAULT_CHECKS, OPT_IN_CHECKS, SHADOW_CHECKS, Scenario, load_trace, parse_scenario)
 from stablevc.simnet import FaultPlan, run
 from stablevc.trace import read_trace_file
 
@@ -76,9 +77,20 @@ def mutated_traces(draw):
         at = draw(st.integers(0, len(lines) - 1))
         kind = draw(st.sampled_from([
             "duplicate", "drop", "swap", "numeral", "crlf", "bom", "tab", "hash",
-            "detail", "no_end"]))
+            "detail", "no_end", "scenario"]))
+        spots = [idx for idx, text in enumerate(lines) if text.startswith("#scenario:")]
+        if kind == "scenario" and spots:
+            # A #scenario: line duplicated, dropped, swapped or given spaces.
+            at, kind = draw(st.sampled_from(spots)), draw(st.sampled_from(
+                ["duplicate", "drop", "scenario_swap", "spaces"]))
         line = lines[at]
-        if kind == "duplicate":
+        if kind == "scenario_swap":
+            other = draw(st.sampled_from(spots))
+            lines[at], lines[other] = lines[other], line
+        elif kind == "spaces":
+            cut = draw(st.integers(len("#scenario:"), len(line) - 1))
+            lines[at] = line[:cut] + " " * draw(st.integers(1, 2)) + line[cut:]
+        elif kind == "duplicate":
             lines.insert(at, line)
         elif kind == "drop" and len(lines) > 1:
             del lines[at]
@@ -135,7 +147,7 @@ def test_a_trace_is_accepted_only_as_written(text):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         try:
-            _text, scenario_text, trace, _linenos = read_trace_file(path)
+            trace, scenario = load_trace(path)
         except ScenarioError:
             for command in ("stats", "replay"):
                 code, out, err = _cli(command, path)
@@ -143,15 +155,16 @@ def test_a_trace_is_accepted_only_as_written(text):
                 assert len(err.splitlines()) == 1 and err.endswith("\n")
                 assert re.match(rf"{re.escape(path)}(:\d+)?: error: ", err)
         else:
-            assert "".join(trace.lines(scenario_text)) == text
+            assert "".join(trace.lines(scenario.to_text() if scenario else "")) == text
 
 
 def test_the_written_traces_are_accepted(tmp_path):
     for name in BASES:
         path = tmp_path / f"{name}.trace"
         path.write_text("".join(_base_lines(name)), encoding="utf-8")
-        _text, scenario_text, trace, _linenos = read_trace_file(str(path))
+        trace, scenario_text = read_trace_file(str(path))
         assert "".join(trace.lines(scenario_text)) == path.read_text(encoding="utf-8")
+        assert load_trace(str(path))[1].to_text() == scenario_text
         assert _cli("stats", str(path))[0] == 0
     assert _cli("replay", str(tmp_path / "full.trace"))[0] == 0  # replay writes "full"
 

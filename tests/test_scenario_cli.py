@@ -44,6 +44,13 @@ duplicate = 1>3@40
 reorder = 3>1@60
 """
 
+# "#steps 10" and the scenario lines ``stablevc run`` writes for a 10-step
+# run: trace lines 2 to 10, "#scenario:seed = 9" on line 7.
+EMBEDDED = "#steps 10\n" + "".join(
+    f"#scenario:{line}\n"
+    for line in Scenario(n=3, c=1, maxint=16, steps=10, seed=9).to_text().splitlines())
+SEED = "#scenario:seed = 9\n"
+
 
 class TestParsing:
     def test_round_trip(self):
@@ -327,6 +334,21 @@ class TestCli:
         ("#steps 10\n0\t1\tsend\t-", "3: error: the last line has no line end"),
         ("#steps 10\n0\t1\tsend\t-\r\n",
          "3: error: malformed trace line: '0\\t1\\tsend\\t-\\r'"),
+        # Embedded scenario lines other than those Scenario.to_text writes:
+        # stats read each of these with exit 0, and replay exited 2 or 1.
+        (EMBEDDED.replace(SEED, SEED * 2), "8: error: key 'seed' given twice"),
+        (EMBEDDED.replace(SEED, "#scenario:seed =  9\n"),
+         "7: error: embedded scenario not as Scenario.to_text writes it: "
+         "trace 'seed =  9', to_text 'seed = 9'"),
+        (EMBEDDED.replace(SEED, SEED + "#scenario:# note\n"),
+         "8: error: embedded scenario not as Scenario.to_text writes it: "
+         "trace '# note', to_text 'scheduler = round_robin'"),
+        (EMBEDDED.replace(SEED, SEED + "#scenario:\n"),
+         "8: error: embedded scenario not as Scenario.to_text writes it: "
+         "trace '', to_text 'scheduler = round_robin'"),
+        (EMBEDDED.rpartition("#scenario:")[0],
+         "10: error: embedded scenario not as Scenario.to_text writes it: "
+         "trace None, to_text 'checks = req1,causal,segments,global_inv,local_inv'"),
     ])
     def test_bad_steps_exit_two_naming_the_line(self, tmp_path, capsys, body, message):
         bad = tmp_path / "bad.trace"
@@ -697,16 +719,19 @@ class TestTraceLines:
         path = tmp_path / "case.scenario"
         path.write_text(EVERY_KIND.format(scope="all", seed=2))
         assert main(["run", str(path), "--out", str(tmp_path)]) == EXIT_OK
-        text, scenario_text, trace, linenos = read_trace_file(str(tmp_path / "case.trace"))
+        trace, scenario_text = read_trace_file(str(tmp_path / "case.trace"))
         assert all(type(value) is str for event in trace.events if event.detail
                    for value in event.detail.values())
+        text = (tmp_path / "case.trace").read_text(encoding="utf-8")
         written = text.splitlines(keepends=True)
         events = [event.render() + "\n" for event in trace.events]
         assert written[len(written) - len(events):] == events
         assert list(trace.lines()) == written[:2] + events
         # The scenario text read back renders the file byte for byte.
         assert "".join(trace.lines(scenario_text)) == text
-        assert linenos == [n for n, line in enumerate(written, 1) if line.startswith("#scenario:")]
+        # Its lines are the file's from line 3 on.
+        assert [n for n, line in enumerate(written, 1) if line.startswith("#scenario:")] \
+            == list(range(3, 3 + len(scenario_text.splitlines())))
 
 
 class TestBundledScenarios:
