@@ -444,7 +444,7 @@ def global_invariants(world: World) -> bool:
     message that would pass the arrival guard at its receiver can actually be
     merged there.
     """
-    for i in world.live_procs():
+    for i in world.live:
         state = world.procs[i]
         if not state.labeling.ready or not state.local_invariants():
             return False

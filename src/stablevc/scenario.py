@@ -71,13 +71,14 @@ class Scenario:
             if named:
                 raise ScenarioError(f"checks {','.join(named)} need a fault-free start, "
                                     f"and transient_seed is set")
+        self.system_config()  # the sizing, checked when the scenario is built
 
     # -- construction of runnable objects ----------------------------------------
 
     def system_config(self) -> SystemConfig:
         try:
             return SystemConfig(self.n, self.c, self.maxint, self.k_override)
-        except Exception as exc:
+        except PreconditionViolated as exc:
             raise ScenarioError(str(exc)) from exc
 
     def build_world(self) -> World:
@@ -240,7 +241,8 @@ def load_scenario(path: str) -> Scenario:
 
 def load_trace(path: str) -> Tuple[Trace, Optional[Scenario]]:
     """A trace file's events and embedded scenario (None if it has none),
-    whose ``#scenario:`` lines must be those ``Scenario.to_text`` writes."""
+    whose ``#scenario:`` lines must be those ``Scenario.to_text`` writes and
+    whose ``steps`` must be the file's ``#steps``."""
     trace, text = read_trace_file(path)
     if not text:
         return trace, None
@@ -253,6 +255,9 @@ def load_trace(path: str) -> Tuple[Trace, Optional[Scenario]]:
         if line != want:  # a line past either end is None
             raise ScenarioError(f"embedded scenario not as Scenario.to_text writes it: "
                                 f"trace {line!r}, to_text {want!r}", lineno)
+    if trace.steps != scenario.steps:
+        raise ScenarioError(f"#steps {trace.steps} is not the embedded scenario's "
+                            f"steps {scenario.steps}", 2)
     return trace, scenario
 
 

@@ -33,36 +33,13 @@ CONTINUE_BROADCAST = "continue"
 RECEIVE = "receive"
 
 
-@dataclass
-class Action:
-    """One enabled move of a processor.  Schedulers hand out shared
-    instances (below), so an Action is never changed after creation."""
-
-    kind: str
-    increment: bool = False      # begin only
-    sender: Optional[int] = None  # receive only
-
-
-class _ReceiveActions(dict):
-    """sender -> the receive Action from that sender, made on first use."""
-
-    def __missing__(self, sender: int) -> Action:
-        action = self[sender] = Action(RECEIVE, sender=sender)
-        return action
-
-
-_BEGIN = Action(BEGIN_BROADCAST)
-_BEGIN_INCREMENT = Action(BEGIN_BROADCAST, increment=True)
-_CONTINUE = Action(CONTINUE_BROADCAST)
-_RECEIVE_FROM = _ReceiveActions()
-
-
 class ChannelEntry:
-    """A message in flight and whether fault injection put it there (immutable, shared)."""
+    """A message in flight and whether fault injection put it there (immutable, shared;
+    a slots class, as CPython 3.11 reads its fields faster than a named tuple's)."""
 
     __slots__ = ("message", "injected")
 
-    def __init__(self, message: ServerMessage, injected: bool = False):
+    def __init__(self, message: ServerMessage, injected: bool):
         self.message = message
         self.injected = injected
 
@@ -79,13 +56,12 @@ class Channel:
 
     __slots__ = ("src", "dst", "capacity", "queue", "ready", "_last")
 
-    def __init__(self, src: int, dst: int, capacity: int,
-                 ready: Optional[List[int]] = None):
+    def __init__(self, src: int, dst: int, capacity: int, ready: List[int]):
         self.src = src
         self.dst = dst
         self.capacity = capacity
         self.queue: Deque[ChannelEntry] = deque(maxlen=capacity)
-        self.ready: List[int] = [] if ready is None else ready
+        self.ready = ready
         self._last: Optional[ChannelEntry] = None
 
     def send(self, message: ServerMessage, injected: bool = False) -> bool:
@@ -115,9 +91,6 @@ class Channel:
         if self.queue:
             self.queue.clear()
             self.ready.remove(self.src)
-
-    def __len__(self) -> int:
-        return len(self.queue)
 
 
 @dataclass
@@ -157,10 +130,11 @@ class World:
     ``ready[j]`` is j's ready-source record: the senders i, in id order,
     whose channel to j holds a message.  The channels keep it as their
     queues change, so a scheduler reads it instead of scanning j's inbox.
+    ``live`` is the ids of the processors that are up, in id order; a crash
+    or a restart replaces the list, so a scheduler sees a change by identity.
     """
 
-    __slots__ = ("config", "procs", "channels", "links", "ready", "crashed", "clock",
-                 "_live")
+    __slots__ = ("config", "procs", "channels", "links", "ready", "crashed", "clock", "live")
 
     def __init__(self, config: SystemConfig):
         self.config = config
@@ -178,7 +152,7 @@ class World:
                 if i != j:
                     self.links[i][j] = self.channels[(i, j)] = Channel(
                         i, j, config.c, self.ready[j])
-        self._live: List[int] = list(ids)
+        self.live: List[int] = list(ids)
 
     @classmethod
     def clean_start(cls, config: SystemConfig) -> "World":
@@ -201,23 +175,20 @@ class World:
                 proc.pairs[j] = VectorClockPair.fresh(shared, config.n, config.maxint)
         return world
 
-    def live_procs(self) -> List[int]:
-        return self._live
-
     # -- fault operations ------------------------------------------------------
 
     def crash(self, proc: int) -> None:
         if proc in self.crashed:
             raise AlreadyCrashed(f"processor {proc} is already down")
         self.crashed.add(proc)
-        self._live = [i for i in self.config.proc_ids if i not in self.crashed]
+        self.live = [i for i in self.config.proc_ids if i not in self.crashed]
 
     def restart_undetectable(self, proc: int) -> None:
         """Resume with the pre-crash state; messages sent meanwhile are lost."""
         if proc not in self.crashed:
             raise NotCrashed(f"processor {proc} is up")
         self.crashed.discard(proc)
-        self._live = [i for i in self.config.proc_ids if i not in self.crashed]
+        self.live = [i for i in self.config.proc_ids if i not in self.crashed]
         for j in self.config.proc_ids:
             if j != proc:
                 self.channels[(j, proc)].clear()
@@ -227,8 +198,10 @@ class World:
 
 
 class Scheduler:
-    """Picks (processor, action) each step.
+    """Picks each step's move as the tuple (proc, kind, arg).
 
+    ``kind`` is BEGIN_BROADCAST, CONTINUE_BROADCAST or RECEIVE, and ``arg``
+    is a begin's increment flag, a receive's sender, or None for a continue.
     ``next`` chooses a live processor by the policy a subclass sets up (a
     round-robin cursor, or a seeded draw with a starvation guard) and
     applies the fairness contract to it in the same frame: per-processor
@@ -238,7 +211,6 @@ class Scheduler:
     """
 
     def __init__(self, rng: Optional[random.Random] = None) -> None:
-        self.rng = rng
         self._random = None if rng is None else rng.random  # None: round-robin
         self._cursor = 0
         self.workload_rng: Optional[random.Random] = None
@@ -277,8 +249,8 @@ class Scheduler:
         default = rates.get(0, 0.0)
         self._rate_of = [rates.get(proc, default) for proc in range(len(self._prefer_receive))]
 
-    def next(self, world: World) -> Optional[Tuple[int, Action]]:
-        live = world._live
+    def next(self, world: World) -> Optional[Tuple[int, str, object]]:
+        live = world.live
         if not live:
             return None
         prefer_receive = self._prefer_receive
@@ -317,24 +289,20 @@ class Scheduler:
                 start = next_source[proc]
                 count = len(sources)
                 next_source[proc] = (start + 1) % count
-                return proc, _RECEIVE_FROM[sources[start % count]]
+                return proc, RECEIVE, sources[start % count]
         prefer_receive[proc] = True
         if world.procs[proc].pending_broadcast is not None:
-            return proc, _CONTINUE
+            return proc, CONTINUE_BROADCAST, None
         # Draw only for a rate strictly inside (0, 1).
         rate = self._rate_of[proc]
-        if rate <= 0.0:
-            return proc, _BEGIN
-        if rate >= 1.0 or self.workload_rng.random() < rate:
-            return proc, _BEGIN_INCREMENT
-        return proc, _BEGIN
+        return proc, BEGIN_BROADCAST, rate > 0.0 and (
+            rate >= 1.0 or self.workload_rng.random() < rate)
 
 
 class RoundRobinScheduler(Scheduler):
     """Cycles over live processors in id order."""
 
-    # Each policy names the shared pick as its own method (perfbench times
-    # ``RoundRobinScheduler.next`` and ``RandomScheduler.next``).
+    # Named per policy: perfbench times RoundRobinScheduler.next and RandomScheduler.next.
     next = Scheduler.next
 
 
@@ -359,19 +327,14 @@ class RandomScheduler(Scheduler):
 
 
 class ScriptedScheduler(Scheduler):
-    """Replays an explicit (proc, action) list for adversarial cases."""
+    """Replays explicit (proc, kind, arg) picks, then picks nothing."""
 
-    def __init__(self, script: Iterable[Tuple[int, Action]]):
+    def __init__(self, script: Iterable[Tuple[int, str, object]]):
         super().__init__()
-        self.script = list(script)
-        self._pos = 0
+        self._picks = iter(script)
 
-    def next(self, world: World) -> Optional[Tuple[int, Action]]:
-        if self._pos >= len(self.script):
-            return None
-        proc, action = self.script[self._pos]
-        self._pos += 1
-        return proc, action
+    def next(self, world: World) -> Optional[Tuple[int, str, object]]:
+        return next(self._picks, None)
 
 
 # -- transient fault injection ----------------------------------------------------------
@@ -473,7 +436,7 @@ def run(world: World, scheduler: Scheduler, steps: int,
     """Advance the world ``steps`` atomic steps and record a trace.
 
     Each step applies the step's due faults, asks the scheduler for a pick,
-    and runs the picked action: a receive, or the begin or continue of a
+    and runs the pick: a receive, or the begin or continue of a
     broadcast ending in a send.  The step's events (handler notes first,
     the send or receive last) go through ``Trace.append``, which counts
     every kind; ``trace_level`` "full" keeps every event, "faults" only the
@@ -544,13 +507,11 @@ def run(world: World, scheduler: Scheduler, steps: int,
             pick = pick_next(world)
             if pick is None:
                 continue
-            proc, action = pick
+            proc, kind, arg = pick  # arg: a receive's sender, a begin's increment flag
             state = procs[proc]
-            kind = action.kind
             if kind == RECEIVE:
-                sender = action.sender
-                entry = links[sender][proc].receive()
-                notes = state.on_message(entry.message, sender)
+                entry = links[arg][proc].receive()
+                notes = state.on_message(entry.message, arg)
                 if notes in quiet:
                     if notes.ignored is None:
                         receives += 1
@@ -561,7 +522,7 @@ def run(world: World, scheduler: Scheduler, steps: int,
                 injected = entry.injected
             else:
                 if kind == BEGIN_BROADCAST:
-                    dest, message, notes = state.do_forever_begin(action.increment)
+                    dest, message, notes = state.do_forever_begin(arg)
                 elif kind == CONTINUE_BROADCAST:
                     dest, message, notes = state.do_forever_continue()
                 else:
@@ -582,9 +543,9 @@ def run(world: World, scheduler: Scheduler, steps: int,
                 detail = {"to": dest, "max": message.sender_max, "pair": message.client.arriving,
                           "overwrote": overwrote, "first": kind == BEGIN_BROADCAST}
             elif comm == "receive":
-                detail = {"from": sender, "merged": notes.merged, "injected": injected}
+                detail = {"from": arg, "merged": notes.merged, "injected": injected}
             else:
-                detail = {"from": sender, "guard": notes.ignored, "injected": injected}
+                detail = {"from": arg, "guard": notes.ignored, "injected": injected}
             events.append(TraceEvent(now, proc, comm, detail))
             for event in events:
                 record(event)

@@ -25,7 +25,6 @@ from stablevc.oracle import (
     stats,
 )
 from stablevc.simnet import (
-    Action,
     BEGIN_BROADCAST,
     FaultPlan,
     RandomScheduler,
@@ -461,7 +460,7 @@ class TestGlobalInvariants:
 
     def test_guard_passing_unmergeable_message_false(self):
         world = World.clean_start(CFG)
-        run(world, ScriptedScheduler([(1, Action(BEGIN_BROADCAST))]), 1)
+        run(world, ScriptedScheduler([(1, BEGIN_BROADCAST, False)]), 1)
         entry = world.channels[(1, 2)].queue[0]
         arriving = entry.message.client.arriving
         # Same guard surface, but no common item with the receiver's pair.
@@ -481,7 +480,7 @@ class TestGlobalInvariants:
 
     def test_guard_failing_message_is_exempt(self):
         world = World.clean_start(CFG)
-        run(world, ScriptedScheduler([(1, Action(BEGIN_BROADCAST))]), 1)
+        run(world, ScriptedScheduler([(1, BEGIN_BROADCAST, False)]), 1)
         entry = world.channels[(1, 2)].queue[0]
         arriving = entry.message.client.arriving.copy()
         arriving.mid[0] = (arriving.mid[0] + 3) % CFG.maxint

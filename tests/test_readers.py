@@ -13,6 +13,7 @@ import io
 import os
 import re
 import tempfile
+from itertools import takewhile
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 from stablevc.cli import EXIT_CONFIG_ERROR, main
 from stablevc.errors import ScenarioError
+from stablevc.labeling import SystemConfig
 from stablevc.scenario import (
     DEFAULT_CHECKS, OPT_IN_CHECKS, SHADOW_CHECKS, Scenario, load_trace, parse_scenario)
 from stablevc.simnet import FaultPlan, run
@@ -70,6 +72,13 @@ def _numeral_variants(numeral):
     return [f"+{numeral}", f"0{numeral}", f"{numeral}_0", f" {numeral}", f"{numeral} "]
 
 
+# A #scenario: line duplicated, dropped, swapped or given spaces; or two
+# plain-key lines swapped or a check name repeated, which still parse and
+# fail only where load_trace compares the lines with what to_text writes.
+SCENARIO_MUTATIONS = ("scenario_duplicate", "scenario_drop", "scenario_swap", "spaces",
+                      "plain_swap", "repeat_check")
+
+
 @st.composite
 def mutated_traces(draw):
     lines = list(_base_lines(draw(st.sampled_from(sorted(BASES)))))
@@ -77,16 +86,30 @@ def mutated_traces(draw):
         at = draw(st.integers(0, len(lines) - 1))
         kind = draw(st.sampled_from([
             "duplicate", "drop", "swap", "numeral", "crlf", "bom", "tab", "hash",
-            "detail", "no_end", "scenario"]))
+            "detail", "no_end", *SCENARIO_MUTATIONS]))
         spots = [idx for idx, text in enumerate(lines) if text.startswith("#scenario:")]
-        if kind == "scenario" and spots:
-            # A #scenario: line duplicated, dropped, swapped or given spaces.
-            at, kind = draw(st.sampled_from(spots)), draw(st.sampled_from(
-                ["duplicate", "drop", "scenario_swap", "spaces"]))
+        if kind in SCENARIO_MUTATIONS:
+            if not spots:
+                continue
+            at = draw(st.sampled_from(spots))
+            kind = {"scenario_duplicate": "duplicate", "scenario_drop": "drop"}.get(kind, kind)
         line = lines[at]
         if kind == "scenario_swap":
             other = draw(st.sampled_from(spots))
             lines[at], lines[other] = lines[other], line
+        elif kind == "plain_swap":
+            plain = list(takewhile(lambda idx: lines[idx] != "#scenario:[faults]\n", spots))
+            if plain:
+                first, second = draw(st.sampled_from(plain)), draw(st.sampled_from(plain))
+                lines[first], lines[second] = lines[second], lines[first]
+        elif kind == "repeat_check":
+            checks = [idx for idx in spots if lines[idx].startswith("#scenario:checks = ")]
+            if checks:
+                head, _, names = lines[checks[0]].rstrip("\n").partition(" = ")
+                names = names.split(",")
+                pos = draw(st.integers(0, len(names) - 1))
+                names.insert(pos, names[pos])
+                lines[checks[0]] = f"{head} = {','.join(names)}\n"
         elif kind == "spaces":
             cut = draw(st.integers(len("#scenario:"), len(line) - 1))
             lines[at] = line[:cut] + " " * draw(st.integers(1, 2)) + line[cut:]
@@ -175,6 +198,8 @@ def test_the_written_traces_are_accepted(tmp_path):
 @st.composite
 def scenarios(draw):
     n = draw(st.integers(2, 6))
+    c = draw(st.integers(1, 4))
+    least_k = 2 * SystemConfig(n, c, 2).label_capacity  # SystemConfig's floor for k
     steps = draw(st.integers(1, 10**6))
     procs = st.integers(1, n)
     fault_step = st.integers(0, steps - 1)
@@ -193,14 +218,14 @@ def scenarios(draw):
     rate = st.floats(0.0, 1.0)
     return Scenario(
         n=n,
-        c=draw(st.integers(1, 4)),
+        c=c,
         maxint=draw(st.integers(2, 2**62)),
         steps=steps,
         seed=draw(st.integers(-10**9, 10**9)),
         scheduler=draw(st.sampled_from(["round_robin", "random"])),
         increment_rate=draw(rate),
         rate_overrides=draw(st.dictionaries(procs, rate, max_size=n)),
-        k_override=draw(st.none() | st.integers(2, 10**4)),
+        k_override=draw(st.none() | st.integers(least_k, 10**4)),
         checks=tuple(draw(st.lists(st.sampled_from(names), unique=True))),
         faults=FaultPlan(
             transient_seed=transient_seed,

@@ -85,9 +85,8 @@ class TestParsing:
             parse_scenario(GOOD.replace("checks = all", "checks = vibes"))
 
     def test_k_override_too_small(self):
-        scenario = parse_scenario(GOOD + "k = 10\n")
-        with pytest.raises(ScenarioError):
-            scenario.system_config()
+        with pytest.raises(ScenarioError, match="k override 10 below"):
+            parse_scenario(GOOD + "k = 10\n")
 
     def test_rate_override(self):
         scenario = parse_scenario(GOOD + "increment_rate.2 = 0.9\n")
@@ -349,6 +348,12 @@ class TestCli:
         (EMBEDDED.rpartition("#scenario:")[0],
          "10: error: embedded scenario not as Scenario.to_text writes it: "
          "trace None, to_text 'checks = req1,causal,segments,global_inv,local_inv'"),
+        # A #steps other than the embedded steps, and a sizing SystemConfig
+        # rejects: stats read each with exit 0, and replay exited 1 or 2.
+        (EMBEDDED.replace("#steps 10\n", "#steps 5\n"),
+         "2: error: #steps 5 is not the embedded scenario's steps 10"),
+        (EMBEDDED.replace("#scenario:maxint = 16\n", "#scenario:maxint = 1\n"),
+         " error: MAXINT must be in [2, 2^62], got 1"),
     ])
     def test_bad_steps_exit_two_naming_the_line(self, tmp_path, capsys, body, message):
         bad = tmp_path / "bad.trace"

@@ -11,7 +11,6 @@ from stablevc.simnet import (
     BEGIN_BROADCAST,
     CONTINUE_BROADCAST,
     RECEIVE,
-    Action,
     Channel,
     FaultPlan,
     RandomScheduler,
@@ -46,25 +45,25 @@ def world_hash(world):
 
 class TestChannel:
     def test_overwrite_drops_oldest(self):
-        ch = Channel(1, 2, capacity=1)
+        ch = Channel(1, 2, capacity=1, ready=[])
         ch.send("first")
         overwrote = ch.send("second")
         assert overwrote is True
-        assert len(ch) == 1
+        assert len(ch.queue) == 1
         assert ch.receive().message == "second"
 
     def test_fifo_order(self):
-        ch = Channel(1, 2, capacity=3)
+        ch = Channel(1, 2, capacity=3, ready=[])
         for msg in ("a", "b", "c"):
             ch.send(msg)
         assert [ch.receive().message for _ in range(3)] == ["a", "b", "c"]
 
     def test_receive_empty_raises(self):
         with pytest.raises(ActionNotEnabled):
-            Channel(1, 2, 1).receive()
+            Channel(1, 2, 1, []).receive()
 
     def test_same_message_and_flag_resend_the_entry(self):
-        ch = Channel(1, 2, capacity=2)
+        ch = Channel(1, 2, capacity=2, ready=[])
         ch.send("m")
         ch.send("m")
         head, tail = ch.queue
@@ -74,7 +73,7 @@ class TestChannel:
         assert ch.queue[0] is head
 
     def test_other_message_or_flag_gives_a_fresh_entry(self):
-        ch = Channel(1, 2, capacity=3)
+        ch = Channel(1, 2, capacity=3, ready=[])
         ch.send("m")
         ch.send("m", injected=True)
         ch.send("n", injected=True)
@@ -88,7 +87,7 @@ class TestChannel:
 
     def test_duplicate_fault_resends_the_head_entry(self):
         world = World.clean_start(SystemConfig(n=3, c=2, maxint=16))
-        trace = run(world, ScriptedScheduler([(1, Action(BEGIN_BROADCAST))]), 2,
+        trace = run(world, ScriptedScheduler([(1, BEGIN_BROADCAST, False)]), 2,
                     fault_plan=FaultPlan(duplications=[(1, 2, 1)]))
         assert trace.count("duplicate") == 1
         head, tail = world.channels[(1, 2)].queue
@@ -101,26 +100,24 @@ class TestEnabledActions:
         sched = RoundRobinScheduler()
         # Nothing to receive: every pick is a begin, whichever side is preferred.
         picks = [sched.next(world) for _ in range(6)]
-        assert [proc for proc, _ in picks] == [1, 2, 3, 1, 2, 3]
-        assert [action.kind for _, action in picks] == [BEGIN_BROADCAST] * 6
+        assert picks == [(proc, BEGIN_BROADCAST, False) for proc in [1, 2, 3, 1, 2, 3]]
 
     def test_pending_and_incoming(self):
         world = World.clean_start(CFG)
-        run(world, ScriptedScheduler([(1, Action(BEGIN_BROADCAST))]), 1)  # sends to 2
+        run(world, ScriptedScheduler([(1, BEGIN_BROADCAST, False)]), 1)  # sends to 2
         assert world.procs[1].pending_broadcast is not None
         sched = RoundRobinScheduler()
-        picks = [(proc, action.kind, action.sender)
-                 for proc, action in (sched.next(world) for _ in range(6))]
+        picks = [sched.next(world) for _ in range(6)]
         # 1 owes the rest of its broadcast and has nothing to receive; 2
         # alternates a begin with the receive from 1; 3 only begins.
-        assert picks == [(1, CONTINUE_BROADCAST, None), (2, BEGIN_BROADCAST, None),
-                         (3, BEGIN_BROADCAST, None), (1, CONTINUE_BROADCAST, None),
-                         (2, RECEIVE, 1), (3, BEGIN_BROADCAST, None)]
+        assert picks == [(1, CONTINUE_BROADCAST, None), (2, BEGIN_BROADCAST, False),
+                         (3, BEGIN_BROADCAST, False), (1, CONTINUE_BROADCAST, None),
+                         (2, RECEIVE, 1), (3, BEGIN_BROADCAST, False)]
 
     def test_crashed_processor_has_none(self):
         world = World.clean_start(CFG)
         world.crash(2)
-        assert 2 not in world.live_procs()
+        assert 2 not in world.live
         sched = RoundRobinScheduler()
         assert [sched.next(world)[0] for _ in range(4)] == [1, 3, 1, 3]
 
@@ -172,7 +169,7 @@ class TestReadySources:
         ch.send("c")
         ch.clear()
         ch.clear()
-        assert ready == [3] and len(ch) == 0
+        assert ready == [3] and len(ch.queue) == 0
 
 
 class TestCrashRestart:
@@ -186,11 +183,11 @@ class TestCrashRestart:
 
     def test_inflight_messages_lost_while_down(self):
         world = World.clean_start(CFG)
-        run(world, ScriptedScheduler([(1, Action(BEGIN_BROADCAST))]), 1)  # 1 -> 2 in flight
-        assert len(world.channels[(1, 2)]) == 1
+        run(world, ScriptedScheduler([(1, BEGIN_BROADCAST, False)]), 1)  # 1 -> 2 in flight
+        assert len(world.channels[(1, 2)].queue) == 1
         world.crash(2)
         world.restart_undetectable(2)
-        assert len(world.channels[(1, 2)]) == 0
+        assert len(world.channels[(1, 2)].queue) == 0
 
     def test_double_crash_rejected(self):
         world = World.clean_start(CFG)
@@ -231,14 +228,14 @@ class TestTransient:
                 assert len(z.curr_m) == len(z.mid) == len(z.prev_o) == CFG.n
                 assert all(0 <= v < CFG.maxint for v in z.curr_m + z.mid + z.prev_o)
         for channel in world.channels.values():
-            assert len(channel) <= CFG.c
+            assert len(channel.queue) <= CFG.c
 
     def test_channels_scope_leaves_processors_alone(self):
         world = World.clean_start(CFG)
         before = world.procs[1].local.copy()
         inject_transient(world, seed=5, scope="channels")
         assert world.procs[1].local == before
-        assert all(len(ch) == CFG.c for ch in world.channels.values())
+        assert all(len(ch.queue) == CFG.c for ch in world.channels.values())
         assert all(entry.injected for ch in world.channels.values()
                    for entry in ch.queue)
 
@@ -458,8 +455,8 @@ class TestFairness:
 class TestScriptedScheduler:
     def test_replays_exact_script(self):
         world = World.clean_start(CFG)
-        script = [(1, Action(BEGIN_BROADCAST)), (1, Action(CONTINUE_BROADCAST)),
-                  (2, Action(RECEIVE, sender=1))]
+        script = [(1, BEGIN_BROADCAST, False), (1, CONTINUE_BROADCAST, None),
+                  (2, RECEIVE, 1)]
         trace = run(world, ScriptedScheduler(script), 5)
         comm = [(e.proc, e.kind) for e in trace.events
                 if e.kind in ("send", "receive", "ignored")]
@@ -471,7 +468,12 @@ class TestScriptedScheduler:
     def test_not_enabled_action_raises(self):
         world = World.clean_start(CFG)
         with pytest.raises(ActionNotEnabled):
-            run(world, ScriptedScheduler([(2, Action(RECEIVE, sender=1))]), 1)
+            run(world, ScriptedScheduler([(2, RECEIVE, 1)]), 1)
+
+    def test_unknown_kind_raises(self):
+        world = World.clean_start(CFG)
+        with pytest.raises(ActionNotEnabled, match="unknown action 'bogus'"):
+            run(world, ScriptedScheduler([(1, "bogus", None)]), 1)
 
 
 class LinearScanScheduler(RandomScheduler):
@@ -487,7 +489,7 @@ class LinearScanScheduler(RandomScheduler):
         self.next_source = {}
 
     def next(self, world):
-        live = world.live_procs()
+        live = world.live
         if not live:
             return None
         bound = 4 * world.config.n * world.config.c
@@ -499,12 +501,12 @@ class LinearScanScheduler(RandomScheduler):
                 proc = cand
                 break
         if proc is None:
-            draw = int(self.rng.random() * len(live))
+            draw = int(self._random() * len(live))
             proc = live[draw if draw < len(live) else len(live) - 1]
         last[proc] = clock
-        return proc, self.action(world, proc)
+        return (proc, *self.move(world, proc))
 
-    def action(self, world, proc):
+    def move(self, world, proc):
         if self.prefer_receive.get(proc, False):
             sources = [i for i in world.config.proc_ids
                        if i != proc and world.links[i][proc].queue]
@@ -512,14 +514,14 @@ class LinearScanScheduler(RandomScheduler):
                 self.prefer_receive[proc] = False
                 start = self.next_source.get(proc, 0)
                 self.next_source[proc] = (start + 1) % len(sources)
-                return Action(RECEIVE, sender=sources[start % len(sources)])
+                return RECEIVE, sources[start % len(sources)]
         self.prefer_receive[proc] = True
         if world.procs[proc].pending_broadcast is not None:
-            return Action(CONTINUE_BROADCAST)
+            return CONTINUE_BROADCAST, None
         rate = self._rates.get(proc, self._rates.get(0, 0.0))
         if 0.0 < rate < 1.0:
-            return Action(BEGIN_BROADCAST, increment=self.workload_rng.random() < rate)
-        return Action(BEGIN_BROADCAST, increment=rate >= 1.0)
+            return BEGIN_BROADCAST, self.workload_rng.random() < rate
+        return BEGIN_BROADCAST, rate >= 1.0
 
 
 def _recorded_picks(scheduler_cls, seed, steps, plan, config):
@@ -551,7 +553,7 @@ class TestRandomSchedulerStarvationGuard:
         bound = 4 * config.n * config.c
         since = {i: 0 for i in config.proc_ids}  # last pick, or the restart
         starved = 0
-        for step, (proc, _action) in picks:
+        for step, (proc, _kind, _arg) in picks:
             down = {p for p, (crash, back) in downtime.items() if crash <= step < back}
             for p, (_crash, back) in downtime.items():
                 if step == back:
