@@ -193,6 +193,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     args = parser.parse_args(argv)
     if args.command == "run":
+        if args.jobs < 1:
+            p_run.error(f"argument --jobs: must be >= 1, got {args.jobs}")
         return cmd_run(args.scenarios, args.seed, args.steps, args.out,
                        args.jobs, args.checks)
     if args.command == "replay":

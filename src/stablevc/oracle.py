@@ -67,8 +67,9 @@ class ShadowTracker:
         self.config = config
         n = config.n
         self.shadow: List[Optional[List[int]]] = [None] + [[0] * n for _ in range(n)]
-        # Per processor: parallel lists (steps, pair snapshots, shadow copies),
-        # appended only when the local pair changes.
+        # Per processor: parallel lists (steps, pair snapshots, shadows),
+        # appended only when the local pair changes.  A shadow, like a pair,
+        # is replaced on a change and never edited, so the lists share it.
         self.snap_steps: List[List[int]] = [[] for _ in range(n + 1)]
         self.snap_pairs: List[List[VectorClockPair]] = [[] for _ in range(n + 1)]
         self.snap_shadows: List[List[List[int]]] = [[] for _ in range(n + 1)]
@@ -88,24 +89,23 @@ class ShadowTracker:
             self._record(0, i, world.procs[i])
 
     def on_step(self, world: World, events: List[TraceEvent]) -> None:
-        kept = None  # the shadow copy a first send stored; the send ends its step
         for event in events:
             kind = event.kind
             proc = event.proc
             if kind == "increment":
-                self.shadow[proc][proc - 1] += 1
+                mine = self.shadow[proc]
+                self.shadow[proc] = [*mine[:proc - 1], mine[proc - 1] + 1, *mine[proc:]]
                 self.increment_steps[proc].append(event.step)
             elif kind == "send":
                 if event.detail["first"]:
-                    snapshot, kept = event.detail["pair"], list(self.shadow[proc])
-                    self.sent[id(snapshot)] = (snapshot, kept)
+                    snapshot = event.detail["pair"]
+                    self.sent[id(snapshot)] = (snapshot, self.shadow[proc])
             elif kind == "receive" and event.detail["merged"]:
                 state = world.procs[proc]
                 sent = self.sent.get(id(state.pairs[event.detail["from"]]))
                 if sent is None:
                     continue
-                mine = self.shadow[proc]
-                mine[:] = map(max, mine, sent[1])
+                mine = self.shadow[proc] = list(map(max, self.shadow[proc], sent[1]))
                 # The merged pair must equal the shadow join modulo MAXINT.
                 maxint, curr_m = self.config.maxint, state.local.curr_m
                 if [a % maxint for a in curr_m] != [b % maxint for b in mine]:
@@ -114,21 +114,18 @@ class ShadowTracker:
         # A step's events all name its processor; a fault changes no pair.
         last = events[-1]
         if last.proc:
-            self._record(last.step + 1, last.proc, world.procs[last.proc], kept)
+            self._record(last.step + 1, last.proc, world.procs[last.proc])
 
     # -- internals ----------------------------------------------------------------
 
-    def _record(self, step: int, proc: int, state: ProcessorState,
-                shadow: Optional[List[int]] = None) -> None:
-        """``shadow``, when given, is a stored list equal to the processor's shadow."""
-        # The pair itself is the snapshot: the protocol changes no pair in
-        # place once it may be shared.
+    def _record(self, step: int, proc: int, state: ProcessorState) -> None:
+        # Pairs and shadows are values: each is stored as is.
         local, pairs = state.pairs[proc], self.snap_pairs[proc]
         if pairs and (pairs[-1] is local or pairs[-1] == local):
             return
         self.snap_steps[proc].append(step)
         pairs.append(local)
-        self.snap_shadows[proc].append(list(self.shadow[proc]) if shadow is None else shadow)
+        self.snap_shadows[proc].append(self.shadow[proc])
 
     # -- queries -----------------------------------------------------------------
 

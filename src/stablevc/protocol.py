@@ -168,18 +168,16 @@ class ProcessorState:
         self.labeling.ensure_dominating(pair.curr_label)
         notes.new_labels.extend(self.labeling.drain_created())
         notes.revives += 1
-        fresh_m = list(pair.curr_m)
-        return VectorClockPair(
-            self.labeling.get_label(), fresh_m, list(pair.curr_m),
-            pair.curr_label, list(pair.mid), self.cfg.maxint,
-        )
+        return VectorClockPair(self.labeling.get_label(), pair.curr_m, pair.curr_m,
+                               pair.curr_label, pair.mid, self.cfg.maxint)
 
     def increment(self, notes: StepNotes) -> None:
-        """Record one local event on a copy of the local pair (the old one
-        may be a broadcast snapshot or a peer's stored pair); revive on
-        exhaustion."""
-        local = self.pairs[self.id].copy()
-        local.bump(self.id - 1)
+        """Record one local event in a new local pair; revive on exhaustion."""
+        local, i = self.pairs[self.id], self.id - 1
+        curr_m = list(local.curr_m)
+        curr_m[i] = (curr_m[i] + 1) % local.maxint
+        local = VectorClockPair(local.curr_label, curr_m, local.mid,
+                                local.prev_label, local.prev_o, local.maxint)
         notes.increments += 1
         if exhausted(local):
             local = self.revive(local, notes)
@@ -212,9 +210,8 @@ class ProcessorState:
         if exhausted(local):
             notes = notes or StepNotes()
             local = self.pairs[self.id] = self.revive(local, notes)
-        # The local pair itself is the snapshot: no pair is changed in place
-        # once it may be shared (increment works on a copy).  Bookkeeping
-        # left max[id] set: it is get_label().
+        # The local pair itself is the snapshot: no pair changes once built.
+        # Bookkeeping left max[id] set: it is get_label().
         self.pending_broadcast = PendingBroadcast(
             local, list(self.peers), labeling.max[self.id], list(labeling.max))
         return self.do_forever_continue(notes or _NO_NOTES)
@@ -227,9 +224,9 @@ class ProcessorState:
         step returns the shared empty record, since it never increments,
         mints, revives or restarts.
         """
-        # Messages and their pairs are shared immutable values (the protocol
-        # changes only fresh copies), so the last message to dest goes again
-        # while its own fields are what a new one would carry.
+        # Messages and their pairs are shared immutable values, so the last
+        # message to dest goes again while its own fields are what a new one
+        # would carry.
         pending = self.pending_broadcast
         try:
             remaining = pending.remaining

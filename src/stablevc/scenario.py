@@ -248,8 +248,8 @@ def load_trace(path: str) -> Tuple[Trace, Optional[Scenario]]:
         return trace, None
     try:
         scenario = parse_scenario(text)
-    except ScenarioError as exc:  # the scenario's line 1 is the file's line 3
-        raise ScenarioError(str(exc), None if exc.line is None else exc.line + 2) from None
+    except ScenarioError as exc:  # its line 1 is the file's 3; an error of no line names 3
+        raise ScenarioError(str(exc), (exc.line or 1) + 2) from None
     written = scenario.to_text().splitlines()
     for lineno, (line, want) in enumerate(zip_longest(text.splitlines(), written), 3):
         if line != want:  # a line past either end is None

@@ -130,11 +130,12 @@ class World:
     ``ready[j]`` is j's ready-source record: the senders i, in id order,
     whose channel to j holds a message.  The channels keep it as their
     queues change, so a scheduler reads it instead of scanning j's inbox.
-    ``live`` is the ids of the processors that are up, in id order; a crash
-    or a restart replaces the list, so a scheduler sees a change by identity.
+    ``live`` is the ids of the processors that are up, in id order, and the
+    one record of which are; a crash or a restart replaces the list, so a
+    scheduler sees a change by identity.
     """
 
-    __slots__ = ("config", "procs", "channels", "links", "ready", "crashed", "clock", "live")
+    __slots__ = ("config", "procs", "channels", "links", "ready", "clock", "live")
 
     def __init__(self, config: SystemConfig):
         self.config = config
@@ -144,7 +145,6 @@ class World:
                                                      for _ in range(config.n + 1)]
         self.channels: Dict[Tuple[int, int], Channel] = {}
         self.ready: List[List[int]] = [[] for _ in range(config.n + 1)]
-        self.crashed: set = set()
         self.clock = 0
         for i in ids:
             self.procs[i] = ProcessorState(i, config)
@@ -178,17 +178,15 @@ class World:
     # -- fault operations ------------------------------------------------------
 
     def crash(self, proc: int) -> None:
-        if proc in self.crashed:
+        if proc not in self.live:
             raise AlreadyCrashed(f"processor {proc} is already down")
-        self.crashed.add(proc)
-        self.live = [i for i in self.config.proc_ids if i not in self.crashed]
+        self.live = [i for i in self.live if i != proc]
 
     def restart_undetectable(self, proc: int) -> None:
         """Resume with the pre-crash state; messages sent meanwhile are lost."""
-        if proc not in self.crashed:
+        if proc in self.live:
             raise NotCrashed(f"processor {proc} is up")
-        self.crashed.discard(proc)
-        self.live = [i for i in self.config.proc_ids if i not in self.crashed]
+        self.live = sorted([*self.live, proc])
         for j in self.config.proc_ids:
             if j != proc:
                 self.channels[(j, proc)].clear()
@@ -457,11 +455,11 @@ def run(world: World, scheduler: Scheduler, steps: int,
     def faults(now: int) -> None:
         events: List[TraceEvent] = []
         for proc, at in sorted(plan.crash_at.items()):
-            if at == now and proc not in world.crashed:
+            if at == now and proc in world.live:
                 world.crash(proc)
                 events.append(TraceEvent(now, proc, "crash", None))
         for proc, at in sorted(plan.restart_at.items()):
-            if at == now and proc in world.crashed:
+            if at == now and proc not in world.live:
                 world.restart_undetectable(proc)
                 events.append(TraceEvent(now, proc, "restart", None))
         for src, dst, at in plan.duplications:

@@ -27,7 +27,11 @@ class VectorClockItem:
 
 
 class VectorClockPair:
-    """⟨curr, prev⟩ items with curr.o and prev.m aliased to one vector."""
+    """⟨curr, prev⟩ items with curr.o and prev.m aliased to one vector.
+
+    A value: nothing changes a pair once it is built, so pairs may share
+    their lists, and the constructor alone sets the cached event sum.
+    """
 
     __slots__ = ("curr_label", "prev_label", "curr_m", "mid", "prev_o", "_vcsum", "maxint")
 
@@ -49,15 +53,9 @@ class VectorClockPair:
         return cls(label, [0] * n, [0] * n, label, [0] * n, maxint)
 
     def copy(self) -> "VectorClockPair":
-        dup = VectorClockPair.__new__(VectorClockPair)
-        dup.curr_label = self.curr_label
-        dup.prev_label = self.prev_label
-        dup.curr_m = list(self.curr_m)
-        dup.mid = list(self.mid)
-        dup.prev_o = list(self.prev_o)
-        dup.maxint = self.maxint
-        dup._vcsum = self._vcsum
-        return dup
+        """An equal pair on lists of its own."""
+        return VectorClockPair(self.curr_label, list(self.curr_m), list(self.mid),
+                               self.prev_label, list(self.prev_o), self.maxint)
 
     # -- views ------------------------------------------------------------------
 
@@ -68,15 +66,6 @@ class VectorClockPair:
     @property
     def prev(self) -> VectorClockItem:
         return VectorClockItem(self.prev_label, self.mid, self.prev_o)
-
-    # -- mutation (keeps the cached vc sum exact) ----------------------------------
-
-    def bump(self, index: int) -> None:
-        """Increment curr.m[index] modulo MAXINT."""
-        maxint = self.maxint
-        old = (self.curr_m[index] - self.mid[index]) % maxint
-        self.curr_m[index] = (self.curr_m[index] + 1) % maxint
-        self._vcsum += ((old + 1) % maxint) - old
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VectorClockPair):
@@ -187,18 +176,15 @@ def merge(loc: VectorClockPair, arr: VectorClockPair,
             init_to_loc = arr.mid < loc.mid
     else:
         init_to_loc = precedes_lb(arr.curr_label, loc.curr_label)
-    output = loc.copy() if init_to_loc else arr.copy()
+    static = loc if init_to_loc else arr
 
     loc_events = _events_since(loc, pivot_label, pivot_vec)
     arr_events = _events_since(arr, pivot_label, pivot_vec)
-    maxint = output.maxint
-    curr_m = output.curr_m
-    for k in range(len(curr_m)):
-        gain = loc_events[k] if loc_events[k] >= arr_events[k] else arr_events[k]
-        curr_m[k] = (pivot_vec[k] + gain) % maxint
-    mid = output.mid
-    output._vcsum = sum((curr_m[k] - mid[k]) % maxint for k in range(len(curr_m)))
-    return output
+    maxint = static.maxint
+    curr_m = [(p + (a if a >= b else b)) % maxint
+              for p, a, b in zip(pivot_vec, loc_events, arr_events)]
+    return VectorClockPair(static.curr_label, curr_m, static.mid,
+                           static.prev_label, static.prev_o, maxint)
 
 
 def merge_equal_static(loc: VectorClockPair, arr: VectorClockPair) -> VectorClockPair:
@@ -206,7 +192,8 @@ def merge_equal_static(loc: VectorClockPair, arr: VectorClockPair) -> VectorCloc
 
     The join keeps ``loc``'s static part and takes, per entry, the larger of
     the two counts since the shared offset.  When ``arr`` is dominated this
-    is ``loc`` itself, returned as is; otherwise a grown copy.
+    is ``loc`` itself, returned as is; otherwise a new pair on ``loc``'s
+    static lists.
     """
     loc_m, arr_m, mid, maxint = loc.curr_m, arr.curr_m, loc.mid, loc.maxint
     for a, b, o in zip(arr_m, loc_m, mid):
@@ -214,14 +201,9 @@ def merge_equal_static(loc: VectorClockPair, arr: VectorClockPair) -> VectorCloc
             break
     else:
         return loc
-    out = loc.copy()
-    curr_m = out.curr_m
-    for k, (a, b, o) in enumerate(zip(arr_m, loc_m, mid)):
-        gain = (a - o) % maxint
-        if gain > (b - o) % maxint:
-            curr_m[k] = (o + gain) % maxint
-    out._vcsum = sum((a - o) % maxint for a, o in zip(curr_m, mid))
-    return out
+    curr_m = [a if (a - o) % maxint > (b - o) % maxint else b
+              for a, b, o in zip(arr_m, loc_m, mid)]
+    return VectorClockPair(loc.curr_label, curr_m, mid, loc.prev_label, loc.prev_o, maxint)
 
 
 def _events_since(pair: VectorClockPair, pivot_label: Label,

@@ -45,6 +45,8 @@ from stablevc.vcpair import (
     vc,
 )
 
+from conftest import moved
+
 CFG = SystemConfig(n=3, c=1, maxint=16)
 CFG_C2 = SystemConfig(n=3, c=2, maxint=16)
 # scenarios/regress/duplicate_shadow.scenario's plan: the 3>1 duplicate at
@@ -461,38 +463,23 @@ class TestGlobalInvariants:
     def test_guard_passing_unmergeable_message_false(self):
         world = World.clean_start(CFG)
         run(world, ScriptedScheduler([(1, BEGIN_BROADCAST, False)]), 1)
-        entry = world.channels[(1, 2)].queue[0]
-        arriving = entry.message.client.arriving
+        client = world.channels[(1, 2)].queue[0].message.client
         # Same guard surface, but no common item with the receiver's pair.
-        arriving.mid[0] = (arriving.mid[0] + 3) % CFG.maxint
-        arriving.prev_o[1] = (arriving.prev_o[1] + 5) % CFG.maxint
-        arriving._vcsum = sum((a - b) % CFG.maxint
-                              for a, b in zip(arriving.curr_m, arriving.mid))
+        client.arriving = moved(client.arriving, mid={0: 3}, prev_o={1: 5})
         receiver = world.procs[2]
-        receiver.local.mid[0] = (receiver.local.mid[0] + 3) % CFG.maxint
-        receiver.local._vcsum = sum(
-            (a - b) % CFG.maxint
-            for a, b in zip(receiver.local.curr_m, receiver.local.mid))
-        # equal_static now holds against the tampered arriving pair's echo?
-        # Build the echo to match the receiver exactly:
-        entry.message.client.rcvd_local = receiver.local.copy()
+        receiver.local = moved(receiver.local, mid={0: 3})
+        # The echo matches the receiver exactly, so equal_static holds.
+        client.rcvd_local = receiver.local.copy()
         assert not global_invariants(world)
 
     def test_guard_failing_message_is_exempt(self):
         world = World.clean_start(CFG)
         run(world, ScriptedScheduler([(1, BEGIN_BROADCAST, False)]), 1)
-        entry = world.channels[(1, 2)].queue[0]
-        arriving = entry.message.client.arriving.copy()
-        arriving.mid[0] = (arriving.mid[0] + 3) % CFG.maxint
-        arriving.prev_o[1] = (arriving.prev_o[1] + 5) % CFG.maxint
-        arriving._vcsum = sum((a - b) % CFG.maxint
-                              for a, b in zip(arriving.curr_m, arriving.mid))
-        entry.message.client.arriving = arriving
+        client = world.channels[(1, 2)].queue[0].message.client
+        client.arriving = moved(client.arriving, mid={0: 3}, prev_o={1: 5})
         # Break the token echo too: the guard fails, so the state stays legal
         # despite the unmergeable payload.
-        echo = entry.message.client.rcvd_local.copy()
-        echo.mid[2] = (echo.mid[2] + 1) % CFG.maxint
-        entry.message.client.rcvd_local = echo
+        client.rcvd_local = moved(client.rcvd_local, mid={2: 1})
         assert global_invariants(world)
 
 

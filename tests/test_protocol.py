@@ -1,5 +1,7 @@
 """Protocol handler tests: restart, revive, increment, broadcast, arrival, message reuse."""
 
+import random
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -17,9 +19,12 @@ from stablevc.vcpair import (
     exhausted,
     legit_pairs,
     merge,
+    merge_equal_static,
     pair_invar,
     vc,
 )
+
+from conftest import moved
 
 CFG = SystemConfig(n=3, c=1, maxint=16)
 
@@ -54,7 +59,7 @@ class TestRestartLocal:
     def test_resets_to_zero_under_max_label(self):
         world = clean_world()
         state = world.procs[1]
-        state.local.bump(0)
+        state.local = moved(state.local, curr_m={0: 1})
         notes = StepNotes()
         state.restart_local(notes, "line8")
         assert vc(state.local) == [0, 0, 0]
@@ -80,8 +85,7 @@ class TestRevive:
     def test_wrap_demotes_curr(self):
         world = clean_world()
         state = world.procs[1]
-        for _ in range(15):
-            state.local.bump(0)
+        state.local = moved(state.local, curr_m={0: 15})
         assert exhausted(state.local)
         old = state.local.copy()
         notes = StepNotes()
@@ -98,8 +102,7 @@ class TestRevive:
     def test_prev_pivot_matches_old_curr(self):
         world = clean_world()
         state = world.procs[2]
-        for _ in range(15):
-            state.local.bump(1)
+        state.local = moved(state.local, curr_m={1: 15})
         old = state.local.copy()
         state.local = state.revive(state.local, StepNotes())
         # the demoted item matches the old current item in label and offset
@@ -109,17 +112,15 @@ class TestRevive:
     def test_invariants_hold_after(self):
         world = clean_world()
         state = world.procs[3]
-        for _ in range(15):
-            state.local.bump(2)
+        state.local = moved(state.local, curr_m={2: 15})
         state.local = state.revive(state.local, StepNotes())
         assert state.local_invariants()
 
     def test_concurrent_revivers_mint_identical_successor(self):
         world = clean_world()
         a, b = world.procs[1], world.procs[2]
-        for _ in range(15):
-            a.local.bump(0)
-            b.local.bump(1)
+        a.local = moved(a.local, curr_m={0: 15})
+        b.local = moved(b.local, curr_m={1: 15})
         a.local = a.revive(a.local, StepNotes())
         b.local = b.revive(b.local, StepNotes())
         assert eq_m(a.local.curr_label, b.local.curr_label)
@@ -137,8 +138,7 @@ class TestIncrement:
     def test_revives_at_exhaustion_boundary(self):
         world = clean_world()
         state = world.procs[1]
-        for _ in range(14):
-            state.local.bump(0)
+        state.local = moved(state.local, curr_m={0: 14})
         notes = StepNotes()
         state.increment(notes)  # sum reaches MAXINT-1 = 15
         assert notes.revives == 1
@@ -174,9 +174,10 @@ class TestBroadcast:
         state = world.procs[1]
         _dest, first_msg, _ = state.do_forever_begin(False)
         # local changes between the sends of one broadcast
-        state.local.bump(0)
+        state.increment(StepNotes())
         _dest2, second_msg, _ = state.do_forever_continue()
-        assert first_msg.client.arriving == second_msg.client.arriving
+        assert second_msg.client.arriving is first_msg.client.arriving is not state.local
+        assert vc(second_msg.client.arriving) == [0, 0, 0] and vc(state.local) == [1, 0, 0]
         assert eq_m(first_msg.sender_max, second_msg.sender_max)
 
     def test_messages_are_self_consistent(self):
@@ -207,8 +208,8 @@ class TestOnMessage:
 
     def test_merge_takes_elementwise_max(self):
         world = clean_world()
-        world.procs[1].local.bump(0)
-        world.procs[2].local.bump(1)
+        world.procs[1].local = moved(world.procs[1].local, curr_m={0: 1})
+        world.procs[2].local = moved(world.procs[2].local, curr_m={1: 1})
         notes = self._deliver(world, 1, 2)
         assert notes.merged
         assert vc(world.procs[2].local) == [1, 1, 0]
@@ -222,12 +223,9 @@ class TestOnMessage:
         assert dest == 2
         # stale echo: receiver's local static no longer matches what p1 holds
         receiver.restart_local(StepNotes(), "line8")
-        receiver.local.bump(1)
-        receiver.local.bump(1)
+        receiver.local = moved(receiver.local, curr_m={1: 2})
         before = receiver.pairs[1]
-        msg.client.rcvd_local.curr_m[0] = (msg.client.rcvd_local.curr_m[0] + 1) % 16
-        wrong_echo = msg.client.rcvd_local
-        wrong_echo.mid[0] = (wrong_echo.mid[0] + 3) % 16
+        msg.client.rcvd_local = moved(msg.client.rcvd_local, curr_m={0: 1}, mid={0: 3})
         notes = receiver.on_message(msg, 1)
         assert notes.ignored == "equal_static"
         assert receiver.pairs[1] is not before  # token still updated
@@ -248,12 +246,11 @@ class TestOnMessage:
         world = clean_world()
         sender = world.procs[1]
         receiver = world.procs[2]
-        for _ in range(15):
-            sender.local.bump(0)
+        sender.local = moved(sender.local, curr_m={0: 15})
         dest, msg, notes0 = sender.do_forever_begin(False)
         # begin revives before snapshotting, so force an exhausted payload
-        msg.client.arriving.curr_m[0] = (msg.client.arriving.mid[0] + 15) % 16
-        msg.client.arriving._vcsum = 15
+        assert vc(msg.client.arriving) == [0, 0, 0]
+        msg.client.arriving = moved(msg.client.arriving, curr_m={0: 15})
         got = receiver.on_message(msg, 1)
         assert got.ignored == "pair_invar"
 
@@ -264,10 +261,7 @@ class TestOnMessage:
         dest, msg, _ = sender.do_forever_begin(False)
         drain_broadcast(sender)
         # give the arriving pair an unrelated static part with matching guard
-        arr = msg.client.arriving
-        arr.mid[0] = (arr.mid[0] + 3) % 16
-        arr.prev_o[1] = (arr.prev_o[1] + 5) % 16
-        arr._vcsum = sum((a - b) % 16 for a, b in zip(arr.curr_m, arr.mid))
+        msg.client.arriving = moved(msg.client.arriving, mid={0: 3}, prev_o={1: 5})
         notes = receiver.on_message(msg, 1)
         assert notes.restarts == 1 and notes.restart_cause == "receive"
         assert receiver.local_invariants()
@@ -276,8 +270,7 @@ class TestOnMessage:
         world = clean_world()
         sender = world.procs[1]
         receiver = world.procs[2]
-        for _ in range(15):
-            sender.local.bump(0)
+        sender.local = moved(sender.local, curr_m={0: 15})
         sender.local = sender.revive(sender.local, StepNotes())
         old_label = sender.local.prev_label
         dest, msg, _ = sender.do_forever_begin(False)
@@ -303,9 +296,8 @@ class TestOnMessage:
         world = clean_world()
         sender = world.procs[1]
         receiver = world.procs[2]
-        for _ in range(14):
-            sender.local.bump(0)
-        receiver.local.bump(1)
+        sender.local = moved(sender.local, curr_m={0: 14})
+        receiver.local = moved(receiver.local, curr_m={1: 1})
         dest, msg, _ = sender.do_forever_begin(False)
         drain_broadcast(sender)
         notes = receiver.on_message(msg, 1)
@@ -433,6 +425,80 @@ class TestEqualStaticFastPath:
                         for a, b, o in zip(arriving.curr_m, before.curr_m, before.mid))
         if dominated and not exhausted(before):
             assert fast.local is before  # a no-op merge keeps the pair object
+
+
+# -- pairs are values ------------------------------------------------------------------
+
+
+def _held_pairs(world):
+    """Every pair a processor stores or a message in flight carries."""
+    held = []
+    for state in world.procs[1:]:
+        held += [z for z in state.pairs if z is not None]
+        if state.pending_broadcast is not None:
+            held.append(state.pending_broadcast.snapshot)
+    for channel in world.channels.values():
+        held += [z for entry in channel.queue
+                 for z in (entry.message.client.arriving, entry.message.client.rcvd_local)]
+    return held
+
+
+def _value(pair):
+    return (pair.curr_label, pair.prev_label, tuple(pair.curr_m), tuple(pair.mid),
+            tuple(pair.prev_o), pair._vcsum)
+
+
+class _ValueAudit:
+    """Observer: every pair held after a step, and every merge of two held
+    pairs, has the event sum of its vc, and keeps the value it was first
+    seen with for the rest of the run."""
+
+    def __init__(self, seed):
+        self.rng = random.Random(seed)
+        self.seen = {}  # id -> (pair, value); the pair is kept, so ids stay unique
+        self.merges = self.equal_static_merges = 0
+
+    def see(self, pair):
+        value = _value(pair)
+        first = self.seen.setdefault(id(pair), (pair, value))[1]
+        if first is value:
+            assert pair._vcsum == sum(vc(pair))
+        else:
+            assert first == value
+
+    def on_start(self, world):
+        self.on_step(world, [])
+
+    def on_step(self, world, events):
+        held = _held_pairs(world)
+        for pair in held:
+            self.see(pair)
+        for _ in range(4):
+            loc, arr = self.rng.choice(held), self.rng.choice(held)
+            pivot = legit_pairs(loc, arr)
+            if pivot is not None:
+                self.see(merge(loc, arr, pivot))
+                self.merges += 1
+            if equal_static(loc, arr):
+                self.see(merge_equal_static(loc, arr))
+                self.equal_static_merges += 1
+            self.see(loc)
+            self.see(arr)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_pairs_are_values(seed):
+    # A recovery run (full transient) with wrap-arounds: no handler, merge or
+    # revive changes a pair it was given, holds or sent.
+    sched = RandomScheduler(seed)
+    sched.configure_workload(seed, {0: 0.5})
+    audit = _ValueAudit(seed)
+    trace = run(World.clean_start(CFG), sched, 1500, observers=[audit],
+                fault_plan=FaultPlan(transient_seed=seed), trace_level="faults")
+    assert trace.count("revive") and trace.count("increment")
+    assert audit.merges > 100 and audit.equal_static_merges > 100
+    for pair, value in audit.seen.values():
+        assert _value(pair) == value
 
 
 # -- resending the unchanged message -------------------------------------------------

@@ -352,8 +352,11 @@ class TestCli:
         # rejects: stats read each with exit 0, and replay exited 1 or 2.
         (EMBEDDED.replace("#steps 10\n", "#steps 5\n"),
          "2: error: #steps 5 is not the embedded scenario's steps 10"),
+        # Scenario errors of no line of their own name line 3, where the
+        # embedded scenario starts (they named no line before).
         (EMBEDDED.replace("#scenario:maxint = 16\n", "#scenario:maxint = 1\n"),
-         " error: MAXINT must be in [2, 2^62], got 1"),
+         "3: error: MAXINT must be in [2, 2^62], got 1"),
+        (EMBEDDED.replace("#scenario:n = 3\n", ""), "3: error: missing required key 'n'"),
     ])
     def test_bad_steps_exit_two_naming_the_line(self, tmp_path, capsys, body, message):
         bad = tmp_path / "bad.trace"
@@ -415,6 +418,20 @@ class TestCli:
         assert out == "" and err.startswith("usage: stablevc run ")
         assert err.splitlines()[-1] == \
             f"stablevc run: error: argument {flag}: invalid canonical_int value: {value!r}"
+        assert not (tmp_path / "case.trace").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_run_rejects_jobs_below_one(self, tmp_path, capsys, value):
+        # Both ran sequentially with exit 0.
+        path = self._write(tmp_path, GOOD)
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exited:
+            main(["run", path, "--out", str(tmp_path), "--jobs", value])
+        assert exited.value.code == EXIT_CONFIG_ERROR
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: stablevc run ")
+        assert err.splitlines()[-1] == \
+            f"stablevc run: error: argument --jobs: must be >= 1, got {value}"
         assert not (tmp_path / "case.trace").exists()
 
     def test_replay_rejects_a_non_canonical_scenario_numeral(self, tmp_path, capsys):

@@ -22,6 +22,8 @@ from stablevc.simnet import (
 )
 from stablevc.trace import FAULT_KINDS, format_pair
 
+from conftest import moved
+
 CFG = SystemConfig(n=3, c=1, maxint=16)
 
 
@@ -175,11 +177,13 @@ class TestReadySources:
 class TestCrashRestart:
     def test_crash_then_restart_preserves_state(self):
         world = World.clean_start(CFG)
-        world.procs[2].local.bump(1)
+        world.procs[2].local = moved(world.procs[2].local, curr_m={1: 1})
         snapshot = world.procs[2].local.copy()
         world.crash(2)
+        assert world.live == [1, 3]
         world.restart_undetectable(2)
         assert world.procs[2].local == snapshot
+        assert world.live == [1, 2, 3]
 
     def test_inflight_messages_lost_while_down(self):
         world = World.clean_start(CFG)
